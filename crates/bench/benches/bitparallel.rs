@@ -12,10 +12,10 @@
 //! `BENCH_bitparallel.json` at the workspace root.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Workload};
+use ssresf::{run_campaign_with, CampaignConfig, Dut, EngineKind, Instrument, Workload};
+use ssresf_bench::write_bench_report;
 use ssresf_netlist::CellId;
 use ssresf_socgen::{build_soc, SocConfig};
-use std::path::Path;
 use std::time::Instant;
 
 /// The 64-lane eval reduction recorded in `BENCH_bitparallel.json` when
@@ -61,7 +61,8 @@ fn campaign_scalar_vs_bitparallel(c: &mut Criterion) {
     ];
 
     let scalar_started = Instant::now();
-    let scalar = run_campaign(&dut, &cells, &scalar_config).expect("campaign runs");
+    let scalar = run_campaign_with(&dut, &cells, &scalar_config, &Instrument::default())
+        .expect("campaign runs");
     let scalar_wall = scalar_started.elapsed();
     let injections = scalar.records.len() as u64;
 
@@ -72,7 +73,8 @@ fn campaign_scalar_vs_bitparallel(c: &mut Criterion) {
     let mut scalar_inj_shared = 0u64;
     for (name, config) in &configs {
         let started = Instant::now();
-        let run = run_campaign(&dut, &cells, config).expect("campaign runs");
+        let run =
+            run_campaign_with(&dut, &cells, config, &Instrument::default()).expect("campaign runs");
         let wall = started.elapsed();
         assert_eq!(
             scalar.records, run.records,
@@ -169,8 +171,8 @@ fn campaign_scalar_vs_bitparallel(c: &mut Criterion) {
         ),
         ("configs", ssresf_json::object(config_reports)),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_bitparallel.json");
-    std::fs::write(&out, report.to_string_pretty() + "\n").expect("write BENCH_bitparallel.json");
+    let out = write_bench_report("BENCH_bitparallel.json", &report)
+        .expect("write BENCH_bitparallel.json");
     println!("wrote {}", out.display());
 
     let mut group = c.benchmark_group("campaign_bitparallel_soc1");
@@ -178,12 +180,18 @@ fn campaign_scalar_vs_bitparallel(c: &mut Criterion) {
         BenchmarkId::from_parameter("scalar"),
         &scalar_config,
         |b, config| {
-            b.iter(|| run_campaign(&dut, &cells, config).expect("campaign runs"));
+            b.iter(|| {
+                run_campaign_with(&dut, &cells, config, &Instrument::default())
+                    .expect("campaign runs")
+            });
         },
     );
     for (name, config) in &configs {
         group.bench_with_input(BenchmarkId::from_parameter(*name), config, |b, config| {
-            b.iter(|| run_campaign(&dut, &cells, config).expect("campaign runs"));
+            b.iter(|| {
+                run_campaign_with(&dut, &cells, config, &Instrument::default())
+                    .expect("campaign runs")
+            });
         });
     }
     group.finish();

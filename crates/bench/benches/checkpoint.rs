@@ -8,9 +8,7 @@
 //! the default 120-cycle workload with uniformly sampled fault cycles.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use ssresf::{
-    run_campaign, run_campaign_with, CampaignConfig, Dut, Instrument, MetricsRegistry, Workload,
-};
+use ssresf::{run_campaign_with, CampaignConfig, Dut, Instrument, MetricsRegistry, Workload};
 use ssresf_netlist::CellId;
 use ssresf_socgen::{build_soc, SocConfig};
 
@@ -57,7 +55,8 @@ fn campaign_variants(c: &mut Criterion) {
         ),
     ];
 
-    let scratch = run_campaign(&dut, &cells, &variants[0].1).expect("campaign runs");
+    let scratch = run_campaign_with(&dut, &cells, &variants[0].1, &Instrument::default())
+        .expect("campaign runs");
     let metrics = MetricsRegistry::new();
     let fast = run_campaign_with(
         &dut,
@@ -87,7 +86,10 @@ fn campaign_variants(c: &mut Criterion) {
     let mut group = c.benchmark_group("campaign_soc1");
     for (name, config) in &variants {
         group.bench_with_input(BenchmarkId::from_parameter(name), config, |b, config| {
-            b.iter(|| run_campaign(&dut, &cells, config).expect("campaign runs"));
+            b.iter(|| {
+                run_campaign_with(&dut, &cells, config, &Instrument::default())
+                    .expect("campaign runs")
+            });
         });
     }
     group.finish();

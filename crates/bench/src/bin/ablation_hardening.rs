@@ -5,7 +5,9 @@
 //! cargo run --release -p ssresf-bench --bin ablation_hardening
 //! ```
 
-use ssresf::{run_campaign, selective_harden, Dut, HardeningStrategy, Ssresf, Workload};
+use ssresf::{
+    run_campaign_with, selective_harden, Dut, HardeningStrategy, Instrument, Ssresf, Workload,
+};
 use ssresf_bench::{analysis_config, quick, soc};
 
 fn main() {
@@ -42,8 +44,13 @@ fn main() {
             let result =
                 selective_harden(&flat, &analysis, budget, strategy).expect("hardening succeeds");
             let dut = Dut::from_conventions(&result.netlist).expect("conventions");
-            let outcome =
-                run_campaign(&dut, &sampled, &framework.config().campaign).expect("campaign runs");
+            let outcome = run_campaign_with(
+                &dut,
+                &sampled,
+                &framework.config().campaign,
+                &Instrument::default(),
+            )
+            .expect("campaign runs");
             let ser = outcome.soft_errors() as f64 / outcome.records.len().max(1) as f64;
             let name = match strategy {
                 HardeningStrategy::SvmGuided => "svm-guided",

@@ -14,8 +14,8 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use ssresf::{
-    cluster_cells, evaluate_ser, run_campaign, sample_clusters, CampaignConfig, ClusterSample, Dut,
-    SamplingConfig, Workload,
+    cluster_cells, evaluate_ser, run_campaign_with, sample_clusters, CampaignConfig, ClusterSample,
+    Dut, Instrument, SamplingConfig, Workload,
 };
 use ssresf_bench::{quick, soc};
 use ssresf_netlist::CellId;
@@ -44,8 +44,13 @@ fn main() {
         },
     )
     .expect("sampling succeeds");
-    let reference =
-        run_campaign(&dut, &reference_sample.all_cells(), &campaign_config).expect("campaign runs");
+    let reference = run_campaign_with(
+        &dut,
+        &reference_sample.all_cells(),
+        &campaign_config,
+        &Instrument::default(),
+    )
+    .expect("campaign runs");
     let reference_ser = evaluate_ser(&flat, &clustering, &reference_sample, &reference)
         .expect("ser evaluates")
         .chip_ser;
@@ -79,8 +84,13 @@ fn main() {
             .expect("sampling succeeds");
             let budget = sample.len();
             budget_cells = budget;
-            let outcome =
-                run_campaign(&dut, &sample.all_cells(), &campaign_config).expect("campaign");
+            let outcome = run_campaign_with(
+                &dut,
+                &sample.all_cells(),
+                &campaign_config,
+                &Instrument::default(),
+            )
+            .expect("campaign");
             let ser = evaluate_ser(&flat, &clustering, &sample, &outcome)
                 .expect("ser")
                 .chip_ser;
@@ -91,7 +101,8 @@ fn main() {
             let mut all: Vec<CellId> = flat.iter_cells().map(|(id, _)| id).collect();
             all.shuffle(&mut StdRng::seed_from_u64(200 + trial));
             all.truncate(budget);
-            let outcome = run_campaign(&dut, &all, &campaign_config).expect("campaign");
+            let outcome = run_campaign_with(&dut, &all, &campaign_config, &Instrument::default())
+                .expect("campaign");
             let ser = outcome.soft_errors() as f64 / outcome.records.len().max(1) as f64;
             flat_err += (ser - reference_ser).abs() / trials as f64;
 

@@ -16,7 +16,8 @@
 //! O(n²) storage or name materialization), not machine noise.
 
 use ssresf::{EngineKind, Ssresf, SsresfConfig, Workload};
-use ssresf_bench::quick;
+use ssresf_bench::{quick, write_bench_report};
+use ssresf_json::Value;
 use ssresf_socgen::{build_soc, SocConfig};
 use std::time::Instant;
 
@@ -127,19 +128,29 @@ fn main() {
     // higher is better, and >1 means the budget holds.
     let wall_headroom = WALL_BUDGET_SECONDS / total_s.max(1e-9);
     let rss_headroom = PEAK_RSS_BUDGET_MIB / peak_mib.max(1.0);
-    let report = format!(
-        "{{\n  \"soc\": \"{}\",\n  \"cells\": {cells},\n  \"nets\": {nets},\n  \
-         \"max_comb_depth\": {},\n  \"memory_scale_factor\": {},\n  \
-         \"injections\": {injections},\n  \"build_seconds\": {build_s},\n  \
-         \"flatten_seconds\": {flatten_s},\n  \"levelize_seconds\": {levelize_s},\n  \
-         \"pipeline_seconds\": {pipeline_s},\n  \"total_seconds\": {total_s},\n  \
-         \"peak_rss_mib\": {peak_mib},\n  \"wall_budget_seconds\": {WALL_BUDGET_SECONDS},\n  \
-         \"peak_rss_budget_mib\": {PEAK_RSS_BUDGET_MIB},\n  \
-         \"wall_headroom\": {wall_headroom},\n  \"rss_headroom\": {rss_headroom}\n}}\n",
-        config.name, lv.max_depth, soc.info.memory_scale_factor
-    );
-    print!("{report}");
-    if let Err(e) = std::fs::write("BENCH_scale.json", &report) {
+    let report = ssresf_json::object([
+        ("soc", Value::from(config.name.as_str())),
+        ("cells", Value::from(cells)),
+        ("nets", Value::from(nets)),
+        ("max_comb_depth", Value::from(lv.max_depth)),
+        (
+            "memory_scale_factor",
+            Value::from(soc.info.memory_scale_factor),
+        ),
+        ("injections", Value::from(injections)),
+        ("build_seconds", Value::from(build_s)),
+        ("flatten_seconds", Value::from(flatten_s)),
+        ("levelize_seconds", Value::from(levelize_s)),
+        ("pipeline_seconds", Value::from(pipeline_s)),
+        ("total_seconds", Value::from(total_s)),
+        ("peak_rss_mib", Value::from(peak_mib)),
+        ("wall_budget_seconds", Value::from(WALL_BUDGET_SECONDS)),
+        ("peak_rss_budget_mib", Value::from(PEAK_RSS_BUDGET_MIB)),
+        ("wall_headroom", Value::from(wall_headroom)),
+        ("rss_headroom", Value::from(rss_headroom)),
+    ]);
+    println!("{}", report.to_string_pretty());
+    if let Err(e) = write_bench_report("BENCH_scale.json", &report) {
         eprintln!("scale_smoke: warning: cannot write BENCH_scale.json: {e}");
     }
 

@@ -9,6 +9,10 @@
 //! cargo run --release -p ssresf-bench --bin serve_smoke
 //! ```
 //!
+//! The `ssresf-serve` worker binary must sit next to this one: without a
+//! process boundary the gate measures nothing, so it exits 1 instead of
+//! falling back to in-process sharding.
+//!
 //! Writes the measured numbers to `BENCH_serve.json` at the workspace root
 //! and exits nonzero on any violation — CI runs this as the `serve-smoke`
 //! job and feeds the report through `bench_check`. Every gated number is a
@@ -18,10 +22,11 @@
 use ssresf::{
     run_campaign_with, CampaignConfig, EngineKind, Instrument, MetricsRegistry, Workload,
 };
+use ssresf_bench::write_bench_report;
 use ssresf_json::Value;
 use ssresf_netlist::CellId;
 use ssresf_serve::{serve_campaign, CacheConfig, JobSpec, NetlistSpec, ServeOptions};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::time::Instant;
 
 /// The warm repeat must do at least this factor less simulation work.
@@ -34,16 +39,24 @@ fn fail(msg: &str) -> ! {
     std::process::exit(1);
 }
 
-/// The `ssresf-serve` binary, expected next to this one (CI builds
-/// `-p ssresf-serve` first). `None` falls back to in-process sharding so
-/// a bare local run still exercises the coordinator.
-fn worker_binary() -> Option<PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let sibling = exe.parent()?.join("ssresf-serve");
-    sibling.exists().then_some(sibling)
+/// The `ssresf-serve` worker binary next to this one, or exit 1 naming
+/// the missing binary.
+fn worker_binary() -> PathBuf {
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| fail(&format!("cannot locate this executable: {e}")));
+    let sibling = exe.with_file_name("ssresf-serve");
+    if !sibling.exists() {
+        fail(&format!(
+            "worker binary {} is missing; build it with \
+             `cargo build --release -p ssresf-serve`",
+            sibling.display()
+        ));
+    }
+    sibling
 }
 
 fn main() {
+    let worker = worker_binary();
     let netlist = NetlistSpec::Soc {
         preset: "PULP SoC_1".to_owned(),
     };
@@ -80,12 +93,6 @@ fn main() {
     let reference = run_campaign_with(&dut, &spec.cells, &spec.config, &Instrument::default())
         .unwrap_or_else(|e| fail(&format!("single-process reference failed: {e}")));
 
-    let worker = worker_binary();
-    let mode = if worker.is_some() {
-        "process"
-    } else {
-        "in-process"
-    };
     let cache_root =
         std::env::temp_dir().join(format!("ssresf-serve-smoke-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&cache_root);
@@ -93,7 +100,7 @@ fn main() {
         let metrics = MetricsRegistry::new();
         let options = ServeOptions {
             shard_count: SHARDS,
-            worker_binary: worker.clone(),
+            worker_binary: Some(worker.clone()),
             cache: Some(CacheConfig {
                 root: cache_root.clone(),
                 max_bytes: None,
@@ -161,7 +168,6 @@ fn main() {
 
     let report = ssresf_json::object([
         ("soc", Value::from("PULP SoC_1")),
-        ("mode", Value::from(mode)),
         ("shards", Value::from(SHARDS)),
         ("cells", Value::from(spec.cells.len())),
         ("records", Value::from(reference.records.len())),
@@ -173,12 +179,11 @@ fn main() {
         ("cold_seconds", Value::from(cold_seconds)),
         ("warm_seconds", Value::from(warm_seconds)),
     ]);
-    let out = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
-    std::fs::write(&out, report.to_string_pretty())
-        .unwrap_or_else(|e| fail(&format!("cannot write {}: {e}", out.display())));
+    write_bench_report("BENCH_serve.json", &report)
+        .unwrap_or_else(|e| fail(&format!("cannot write BENCH_serve.json: {e}")));
     println!("{}", report.to_string_pretty());
     eprintln!(
-        "serve_smoke: PASS ({mode} mode, {SHARDS} shards, warm repeat {work_reduction:.0}x \
+        "serve_smoke: PASS ({SHARDS} worker processes, warm repeat {work_reduction:.0}x \
          less simulation work)"
     );
 }

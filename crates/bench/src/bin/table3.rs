@@ -7,7 +7,7 @@
 //! cargo run --release -p ssresf-bench --bin table3
 //! ```
 
-use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Ssresf, Workload};
+use ssresf::{run_campaign_with, CampaignConfig, Dut, EngineKind, Instrument, Ssresf, Workload};
 use ssresf_bench::{analysis_config, quick, soc};
 use ssresf_netlist::CellId;
 use ssresf_radiation::RadiationEnvironment;
@@ -58,25 +58,27 @@ fn main() {
         };
 
         let t0 = Instant::now();
-        let ev = run_campaign(
+        let ev = run_campaign_with(
             &dut,
             &probe,
             &CampaignConfig {
                 engine: EngineKind::EventDriven,
                 ..campaign
             },
+            &Instrument::default(),
         )
         .expect("event campaign");
         let event_time = t0.elapsed().as_secs_f64() * scale;
 
         let t1 = Instant::now();
-        run_campaign(
+        run_campaign_with(
             &dut,
             &probe,
             &CampaignConfig {
                 engine: EngineKind::Levelized,
                 ..campaign
             },
+            &Instrument::default(),
         )
         .expect("levelized campaign");
         let level_time = t1.elapsed().as_secs_f64() * scale;

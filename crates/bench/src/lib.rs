@@ -8,12 +8,29 @@
 use ssresf::{Ssresf, SsresfConfig, Workload};
 use ssresf_netlist::FlatNetlist;
 use ssresf_socgen::{build_soc, BuiltSoc, SocConfig};
+use std::path::{Path, PathBuf};
 
 /// Whether reduced budgets were requested via `SSRESF_QUICK=1`.
 pub fn quick() -> bool {
     std::env::var("SSRESF_QUICK")
         .map(|v| v == "1")
         .unwrap_or(false)
+}
+
+/// Writes `report` to the `BENCH_*.json` file `name` at the workspace root,
+/// pretty-printed with a trailing newline, and returns the path written.
+///
+/// # Errors
+///
+/// Returns the I/O error when the file cannot be written.
+pub fn write_bench_report(name: &str, report: &ssresf_json::Value) -> std::io::Result<PathBuf> {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    let path = root.join(name);
+    std::fs::write(&path, report.to_string_pretty() + "\n")?;
+    Ok(path)
 }
 
 /// Builds one Table-I benchmark and flattens it.

@@ -45,8 +45,8 @@ use crate::scenario::Scenario;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use ssresf::{
-    run_campaign, run_campaign_with, run_mission_campaign, run_sharded_campaign, CampaignConfig,
-    Dut, EngineKind, Instrument, MetricsRegistry, Workload,
+    run_campaign_with, run_mission_campaign_with, run_sharded_campaign, CampaignConfig, Dut,
+    EngineKind, Instrument, MetricsRegistry, Workload,
 };
 use ssresf_netlist::{CellId, FlatNetlist, NetId};
 use ssresf_radiation::{MissionProfile, MissionSegment, ParticleEnvironment};
@@ -421,18 +421,19 @@ fn check_campaigns(scenario: &Scenario, flat: &FlatNetlist) -> Result<(), String
         early_stop: false,
         ..CampaignConfig::default()
     };
-    let scratch = run_campaign(&dut, &cells, &base)
+    let scratch = run_campaign_with(&dut, &cells, &base, &Instrument::default())
         .map_err(|e| format!("campaign: from-scratch run failed: {e}"))?;
-    let checkpointed = run_campaign(
+    let checkpointed = run_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
             checkpoint_interval: scenario.checkpoint_interval,
             ..base
         },
+        &Instrument::default(),
     )
     .map_err(|e| format!("campaign: checkpointed run failed: {e}"))?;
-    let stopped = run_campaign(
+    let stopped = run_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
@@ -440,6 +441,7 @@ fn check_campaigns(scenario: &Scenario, flat: &FlatNetlist) -> Result<(), String
             early_stop: true,
             ..base
         },
+        &Instrument::default(),
     )
     .map_err(|e| format!("campaign: early-stop run failed: {e}"))?;
 
@@ -527,7 +529,7 @@ fn check_batched_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
         early_stop: false,
         ..CampaignConfig::default()
     };
-    let scalar = run_campaign(&dut, &cells, &base)
+    let scalar = run_campaign_with(&dut, &cells, &base, &Instrument::default())
         .map_err(|e| format!("batched: scalar reference run failed: {e}"))?;
     // Each width runs a plain scratch config and the full fast path
     // (checkpointed + early-stop + collapsing + lane refill); width 64
@@ -543,7 +545,7 @@ fn check_batched_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
         ("scratch/512", 512, 0, false, false, false),
         ("collapse-refill/512", 512, ckpt, true, true, true),
     ] {
-        let batched = run_campaign(
+        let batched = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
@@ -555,6 +557,7 @@ fn check_batched_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
                 lane_refill,
                 ..base
             },
+            &Instrument::default(),
         )
         .map_err(|e| format!("batched: {label} batched run failed: {e}"))?;
         if scalar.golden != batched.golden {
@@ -644,9 +647,9 @@ fn check_mission_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
         early_stop: false,
         ..CampaignConfig::default()
     };
-    let scratch = run_mission_campaign(&dut, &cells, &base, &mission)
+    let scratch = run_mission_campaign_with(&dut, &cells, &base, &mission, &Instrument::default())
         .map_err(|e| format!("mission: from-scratch run failed: {e}"))?;
-    let checkpointed = run_mission_campaign(
+    let checkpointed = run_mission_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
@@ -654,9 +657,10 @@ fn check_mission_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
             ..base
         },
         &mission,
+        &Instrument::default(),
     )
     .map_err(|e| format!("mission: checkpointed run failed: {e}"))?;
-    let stopped = run_mission_campaign(
+    let stopped = run_mission_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
@@ -665,6 +669,7 @@ fn check_mission_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
             ..base
         },
         &mission,
+        &Instrument::default(),
     )
     .map_err(|e| format!("mission: early-stop run failed: {e}"))?;
 
@@ -747,7 +752,7 @@ fn check_sharded_campaign(scenario: &Scenario, flat: &FlatNetlist) -> Result<(),
         ..scalar
     };
     for (label, config) in [("scalar", &scalar), ("batched", &batched)] {
-        let reference = run_campaign(&dut, &cells, config)
+        let reference = run_campaign_with(&dut, &cells, config, &Instrument::default())
             .map_err(|e| format!("sharded: {label} reference run failed: {e}"))?;
         for shard_count in [2usize, 4] {
             let merged =

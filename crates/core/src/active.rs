@@ -27,22 +27,19 @@
 //! `(seed, config)`: the golden run, fault streams, seed draw, margin
 //! ordering and batch tie-breaks are all deterministic.
 
-use crate::campaign::{faults_for_cell, run_injection_jobs_with_golden, CampaignOutcome};
-use crate::clustering::cluster_cells;
+use crate::campaign::{campaign_jobs, run_injection_jobs_with_golden, CampaignOutcome};
 use crate::error::SsresfError;
-use crate::framework::{Analysis, LabelRule, Ssresf, Timing};
+use crate::framework::{
+    extract_features, Analysis, LabelRule, Labeled, Prologue, Ssresf, SsresfConfig, Timing,
+};
 use crate::progress::Instrument;
 use crate::sampling::{sample_clusters, ClusterSample, SamplingConfig};
-use crate::sensitivity::train_sensitivity;
 use crate::ser::evaluate_ser;
-use crate::workload::Dut;
 use serde::{Deserialize, Serialize};
 use ssresf_mlcore::{
     parallel_map, Dataset, SmoContext, StandardScaler, SvmModel, SvmParams, TrainStats,
 };
-use ssresf_netlist::{CellId, FeatureExtractor, FlatNetlist, ModuleClass};
-use ssresf_sim::Fault;
-use std::collections::BTreeMap;
+use ssresf_netlist::{CellId, FlatNetlist};
 use std::time::Instant;
 
 /// Configuration of the active-learning loop.
@@ -163,182 +160,164 @@ impl Ssresf {
         active: &ActiveLearningConfig,
         hooks: &Instrument<'_>,
     ) -> Result<ActiveAnalysis, SsresfError> {
-        self.validate_config()?;
         validate_active_config(active)?;
         let config = self.config();
-        let dut = Dut::from_conventions(netlist)?;
-        let mut timing = Timing::default();
-        let stage = |name: &str, elapsed: std::time::Duration| {
-            if let Some(metrics) = hooks.metrics {
-                metrics.timing_add(name, elapsed);
-            }
-            elapsed
-        };
+        let (analysis, rounds) = self.run_pipeline(netlist, hooks, |p, timing| {
+            margin_loop(config, active, p, hooks, timing)
+        })?;
 
-        // Clustering, then ONE golden run shared by every round.
-        let started = Instant::now();
-        let clustering = cluster_cells(netlist, &config.clustering)?;
-        timing.clustering = stage("stage.clustering", started.elapsed());
-        let started = Instant::now();
-        let golden = dut.run_golden_with_checkpoints(
-            config.campaign.engine,
-            &config.campaign.workload,
-            config.campaign.checkpoint_interval,
-        )?;
-        timing.golden = stage("stage.golden", started.elapsed());
-
-        // Features once per netlist, standardized once over every cell so
-        // margin scores are comparable across rounds.
-        let started = Instant::now();
-        let extractor = FeatureExtractor::new(netlist)?;
-        let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
-        let features = parallel_map(&cell_ids, config.sensitivity.threads, |_, &id| {
-            extractor.extract_cell(id, Some(&golden.outcome.activity_per_cycle))
-        });
-        let raw: Vec<Vec<f64>> = features.iter().map(|f| f.values.clone()).collect();
-        let scaler = StandardScaler::fit(&raw).map_err(SsresfError::Ml)?;
-        let scaled = scaler.transform(&raw);
-        timing.features = stage("stage.features", started.elapsed());
-
-        // Stratified seed draw (a scaled-down one-shot sample).
-        let started = Instant::now();
-        let seed_sample = sample_clusters(
-            &clustering,
-            &SamplingConfig {
-                fraction: active.seed_fraction,
-                min_per_cluster: active.seed_min_per_cluster,
-                seed: config.sampling.seed,
-                budget: active.budget,
-            },
-        )?;
-        timing.sampling = stage("stage.sampling", started.elapsed());
-
-        // Injection-order bookkeeping. `injected_order` is append-only so
-        // warm-started SMO sees stable row positions across rounds;
-        // `sample` keeps the per-cluster structure SER evaluation needs.
-        let mut sample = ClusterSample {
-            per_cluster: vec![Vec::new(); clustering.members.len()],
-        };
-        let mut injected_order: Vec<CellId> = Vec::new();
-        let mut labeled = vec![false; cell_ids.len()];
-        let mut merged: Option<CampaignOutcome> = None;
-        let inject = |cells: &[CellId],
-                      sample: &mut ClusterSample,
-                      injected_order: &mut Vec<CellId>,
-                      labeled: &mut Vec<bool>,
-                      merged: &mut Option<CampaignOutcome>,
-                      timing: &mut Timing|
-         -> Result<(), SsresfError> {
-            let jobs: Vec<(CellId, Fault)> = cells
-                .iter()
-                .flat_map(|&cell| {
-                    faults_for_cell(&dut, cell, &config.campaign)
-                        .into_iter()
-                        .map(move |f| (cell, f))
-                })
-                .collect();
-            let outcome =
-                run_injection_jobs_with_golden(&dut, jobs, &config.campaign, &golden, hooks)?;
-            timing.injections += outcome.simulation_time;
-            for &cell in cells {
-                let cluster = clustering.cluster_of(cell);
-                let members = &mut sample.per_cluster[cluster];
-                let pos = members.partition_point(|&c| c < cell);
-                members.insert(pos, cell);
-                injected_order.push(cell);
-                labeled[cell.index()] = true;
-            }
-            match merged {
-                Some(m) => {
-                    m.records.extend(outcome.records);
-                    m.simulation_time += outcome.simulation_time;
-                    m.total_work += outcome.total_work;
-                    m.telemetry.engine.accumulate(outcome.telemetry.engine);
-                    m.telemetry.checkpoint_restores += outcome.telemetry.checkpoint_restores;
-                    m.telemetry.early_stop_truncations += outcome.telemetry.early_stop_truncations;
-                    m.telemetry.collapsed_faults += outcome.telemetry.collapsed_faults;
-                    m.telemetry.lane_refills += outcome.telemetry.lane_refills;
-                }
-                None => *merged = Some(outcome),
-            }
-            Ok(())
-        };
-
-        if config.campaign.injections_per_cell == 0 {
-            return Err(SsresfError::Config("injections_per_cell is 0".into()));
+        let injected_cells = analysis.sample.len();
+        let baseline_cells = sample_clusters(&analysis.clustering, &config.sampling)?.len();
+        let records = analysis.campaign.records.len();
+        let injections_saved =
+            (baseline_cells * config.campaign.injections_per_cell).saturating_sub(records);
+        if let Some(metrics) = hooks.metrics {
+            metrics.counter_add("active.rounds", rounds.len() as u64);
+            metrics.counter_add("active.injections.total", records as u64);
+            metrics.counter_add("active.injections_saved", injections_saved as u64);
         }
-        inject(
-            &seed_sample.all_cells(),
-            &mut sample,
-            &mut injected_order,
-            &mut labeled,
-            &mut merged,
-            &mut timing,
-        )?;
+        Ok(ActiveAnalysis {
+            analysis,
+            rounds,
+            injected_cells,
+            baseline_cells,
+            injections_saved,
+        })
+    }
+}
 
-        // The margin-driven rounds.
-        let mut ctx = SmoContext::new(config.sensitivity.svm.cache_rows);
-        let mut warm_stats = TrainStats::default();
-        let mut rounds: Vec<ActiveRound> = Vec::new();
-        let mut prev_predictions: Option<Vec<bool>> = None;
-        let mut stable = 0usize;
-        let mut ser;
-        let mut labels;
-        loop {
-            let campaign = merged.as_ref().expect("seed round injected");
-            let started = Instant::now();
-            ser = evaluate_ser(netlist, &clustering, &sample, campaign)?;
-            timing.ser += stage("stage.ser", started.elapsed());
-            labels = label_cells(
-                &injected_order,
-                campaign,
-                &clustering,
-                &ser,
-                config.labeling,
-            );
+/// The cells injected so far and their merged campaign.
+struct Injected {
+    /// Injection order. Append-only, so warm-started SMO sees stable row
+    /// positions across rounds.
+    order: Vec<CellId>,
+    /// The same cells per cluster, as SER evaluation needs them.
+    sample: ClusterSample,
+    /// Whether each cell, by id, has been injected.
+    labeled: Vec<bool>,
+    /// Every round's campaign, merged; `None` before the seed round.
+    campaign: Option<CampaignOutcome>,
+}
 
-            let round = rounds.len();
-            let positives = labels.iter().filter(|&&(_, s)| s).count();
-            let budget_left = active
-                .budget
-                .map(|b| b.saturating_sub(injected_order.len()))
-                .unwrap_or(usize::MAX);
-            let unlabeled: Vec<CellId> = cell_ids
-                .iter()
-                .copied()
-                .filter(|&id| !labeled[id.index()])
-                .collect();
+/// The margin-driven sampling strategy: a stratified seed draw, then
+/// rounds of warm-started training that inject the lowest-margin cells,
+/// all against the pipeline's one golden run (which the campaign is not
+/// charged for).
+fn margin_loop(
+    config: &SsresfConfig,
+    active: &ActiveLearningConfig,
+    p: &Prologue<'_>,
+    hooks: &Instrument<'_>,
+    timing: &mut Timing,
+) -> Result<(Labeled, Vec<ActiveRound>), SsresfError> {
+    let netlist = p.dut.netlist();
+    let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
 
-            if positives == 0 || positives == labels.len() {
-                // Single class so far: no margin to rank by. Fall back to
-                // the lowest unlabeled cell ids — deterministic, and each
-                // batch widens the label pool until both classes appear.
-                let take = active.batch_size.min(budget_left).min(unlabeled.len());
-                rounds.push(ActiveRound {
-                    round,
-                    labeled: labels.len(),
-                    positives,
-                    injected: take,
-                    min_margin: 0.0,
-                    mean_margin: 0.0,
-                    churn: 1.0,
-                    fallback: true,
-                });
-                if take == 0 || round + 1 >= active.max_rounds {
-                    break;
-                }
-                let batch: Vec<CellId> = unlabeled[..take].to_vec();
-                inject(
-                    &batch,
-                    &mut sample,
-                    &mut injected_order,
-                    &mut labeled,
-                    &mut merged,
-                    &mut timing,
-                )?;
-                continue;
-            }
+    // Features once per netlist, standardized once over every cell so
+    // margin scores are comparable across rounds.
+    let activity = &p.golden.outcome.activity_per_cycle;
+    let features = extract_features(netlist, activity, config, hooks, timing)?;
+    let started = Instant::now();
+    let raw: Vec<Vec<f64>> = features.iter().map(|f| f.values.clone()).collect();
+    let scaler = StandardScaler::fit(&raw).map_err(SsresfError::Ml)?;
+    let scaled = scaler.transform(&raw);
+    timing.features += hooks.stage("stage.features", started.elapsed());
 
+    // Stratified seed draw (a scaled-down one-shot sample).
+    let started = Instant::now();
+    let seed_sample = sample_clusters(
+        &p.clustering,
+        &SamplingConfig {
+            fraction: active.seed_fraction,
+            min_per_cluster: active.seed_min_per_cluster,
+            seed: config.sampling.seed,
+            budget: active.budget,
+        },
+    )?;
+    timing.sampling = hooks.stage("stage.sampling", started.elapsed());
+
+    let mut injected = Injected {
+        order: Vec::new(),
+        sample: ClusterSample {
+            per_cluster: vec![Vec::new(); p.clustering.members.len()],
+        },
+        labeled: vec![false; cell_ids.len()],
+        campaign: None,
+    };
+    let inject = |cells: &[CellId],
+                  injected: &mut Injected,
+                  timing: &mut Timing|
+     -> Result<(), SsresfError> {
+        let jobs = campaign_jobs(&p.dut, cells, &config.campaign)?;
+        let outcome =
+            run_injection_jobs_with_golden(&p.dut, jobs, &config.campaign, &p.golden, hooks)?;
+        timing.injections += outcome.simulation_time;
+        for &cell in cells {
+            let members = &mut injected.sample.per_cluster[p.clustering.cluster_of(cell)];
+            let pos = members.partition_point(|&c| c < cell);
+            members.insert(pos, cell);
+            injected.order.push(cell);
+            injected.labeled[cell.index()] = true;
+        }
+        match &mut injected.campaign {
+            Some(merged) => merged.absorb(&outcome),
+            None => injected.campaign = Some(outcome),
+        }
+        Ok(())
+    };
+    inject(&seed_sample.all_cells(), &mut injected, timing)?;
+
+    // The margin-driven rounds.
+    let mut ctx = SmoContext::new(config.sensitivity.svm.cache_rows);
+    let mut warm_stats = TrainStats::default();
+    let mut rounds: Vec<ActiveRound> = Vec::new();
+    let mut prev_predictions: Option<Vec<bool>> = None;
+    let mut stable = 0usize;
+    loop {
+        let campaign = injected.campaign.as_ref().expect("seed round injected");
+        let started = Instant::now();
+        let ser = evaluate_ser(netlist, &p.clustering, &injected.sample, campaign)?;
+        timing.ser += hooks.stage("stage.ser", started.elapsed());
+        let labels = label_cells(
+            &injected.order,
+            campaign,
+            &p.clustering,
+            &ser,
+            config.labeling,
+        );
+
+        let round = rounds.len();
+        let positives = labels.iter().filter(|&&(_, s)| s).count();
+        let budget_left = active
+            .budget
+            .map(|b| b.saturating_sub(injected.order.len()))
+            .unwrap_or(usize::MAX);
+        let unlabeled: Vec<CellId> = cell_ids
+            .iter()
+            .copied()
+            .filter(|&id| !injected.labeled[id.index()])
+            .collect();
+
+        let (batch, stop) = if positives == 0 || positives == labels.len() {
+            // Single class so far: no margin to rank by. Fall back to
+            // the lowest unlabeled cell ids — deterministic, and each
+            // batch widens the label pool until both classes appear.
+            let take = active.batch_size.min(budget_left).min(unlabeled.len());
+            rounds.push(ActiveRound {
+                round,
+                labeled: labels.len(),
+                positives,
+                injected: take,
+                min_margin: 0.0,
+                mean_margin: 0.0,
+                churn: 1.0,
+                fallback: true,
+            });
+            (
+                unlabeled[..take].to_vec(),
+                take == 0 || round + 1 >= active.max_rounds,
+            )
+        } else {
             // Warm-started round model on the netlist-wide scaling.
             let started = Instant::now();
             let rows: Vec<Vec<f64>> = labels
@@ -362,7 +341,7 @@ impl Ssresf {
             };
             let model = SvmModel::train_warm(&data, &params, &mut ctx).map_err(SsresfError::Ml)?;
             warm_stats.accumulate(*model.train_stats());
-            timing.svm_train += stage("stage.svm_train", started.elapsed());
+            timing.svm_train += hooks.stage("stage.svm_train", started.elapsed());
 
             // Margin scoring (O(d) fast-decision path) and whole-netlist
             // prediction churn, both order-preserving across threads.
@@ -428,115 +407,30 @@ impl Ssresf {
                 churn,
                 fallback: false,
             });
-            if batch.is_empty() {
-                break;
-            }
-            inject(
-                &batch,
-                &mut sample,
-                &mut injected_order,
-                &mut labeled,
-                &mut merged,
-                &mut timing,
-            )?;
-        }
-        let campaign = merged.expect("seed round injected");
-
-        // Final fit with the full pipeline (CV metrics, ROC, optional
-        // selection/search) on everything labeled.
-        let started = Instant::now();
-        let (classifier, sensitivity_report) =
-            train_sensitivity(&features, &labels, &config.sensitivity)?;
-        timing.svm_train += stage("stage.svm_train", started.elapsed());
-
-        let started = Instant::now();
-        let predictions = classifier.classify_all_with(&features, config.sensitivity.threads);
-        timing.predict = stage("stage.predict", started.elapsed());
-
-        let mut class_counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for (&(cell, high), feature) in predictions.iter().zip(&features) {
-            debug_assert_eq!(cell, feature.cell);
-            let class =
-                ModuleClass::infer(netlist.paths().resolve(netlist.cell(cell).path).segments());
-            let entry = class_counts.entry(class.name().to_owned()).or_default();
-            entry.1 += 1;
-            if high {
-                entry.0 += 1;
-            }
-        }
-        let chip_xsect = crate::framework::scaled_chip_xsect(
-            netlist,
-            config.campaign.environment.let_value,
-            config.memory_scale,
-        );
-
-        let injected_cells = injected_order.len();
-        let baseline_cells = sample_clusters(&clustering, &config.sampling)?.len();
-        let injections_saved = (baseline_cells * config.campaign.injections_per_cell)
-            .saturating_sub(campaign.records.len());
-        if let Some(metrics) = hooks.metrics {
-            metrics.counter_add("pipeline.analyses", 1);
-            metrics.gauge_set("pipeline.cells", netlist.cells().len() as f64);
-            metrics.gauge_set("pipeline.clusters", clustering.clusters as f64);
-            metrics.gauge_set("pipeline.sampled_cells", sample.len() as f64);
-            metrics.gauge_set("pipeline.predictions", predictions.len() as f64);
-            metrics.counter_add("active.rounds", rounds.len() as u64);
-            metrics.counter_add("active.injections.total", campaign.records.len() as u64);
-            metrics.counter_add("active.injections_saved", injections_saved as u64);
-            let solver = &sensitivity_report.solver;
-            metrics.counter_add(
-                "svm.kernel_cache.hits",
-                solver.kernel_cache_hits + warm_stats.kernel_cache_hits,
-            );
-            metrics.counter_add(
-                "svm.kernel_cache.misses",
-                solver.kernel_cache_misses + warm_stats.kernel_cache_misses,
-            );
-            metrics.gauge_set(
-                "svm.kernel_cache.hit_rate",
-                hit_rate(
-                    solver.kernel_cache_hits + warm_stats.kernel_cache_hits,
-                    solver.kernel_cache_misses + warm_stats.kernel_cache_misses,
-                ),
-            );
-            metrics.observe("svm.smo_iterations", solver.iterations as f64);
-            let predict_secs = timing.predict.as_secs_f64();
-            let throughput = if predict_secs > 0.0 {
-                predictions.len() as f64 / predict_secs
-            } else {
-                0.0
-            };
-            metrics.gauge_set("pipeline.predict_throughput_per_second", throughput);
-        }
-
-        Ok(ActiveAnalysis {
-            analysis: Analysis {
-                timing,
-                clustering,
-                sample,
-                campaign,
+            let stop = batch.is_empty();
+            (batch, stop)
+        };
+        if stop {
+            let labeled = Labeled {
+                sample: injected.sample,
+                campaign: injected.campaign.expect("seed round injected"),
                 ser,
-                sensitivity_report,
-                classifier,
-                predictions,
-                class_counts,
-                chip_xsect,
-                features,
-            },
-            rounds,
-            injected_cells,
-            baseline_cells,
-            injections_saved,
-        })
+                labels,
+                features: Some(features),
+                warm_stats,
+            };
+            return Ok((labeled, rounds));
+        }
+        inject(&batch, &mut injected, timing)?;
     }
 }
 
 /// Labels campaign cells under a [`LabelRule`], in the given cell order.
 ///
-/// This is the labeling step both pipelines share: the active loop calls
-/// it in injection order (stable row positions for the warm-started
-/// solver), and benchmarks call it to re-derive a one-shot analysis'
-/// training labels for held-out evaluation.
+/// This is the pipeline's only labeling code: one-shot sampling calls it
+/// in sample order, the active loop in injection order (stable row
+/// positions for the warm-started solver), and benchmarks call it to
+/// label held-out cells for evaluation.
 pub fn label_cells(
     injected_order: &[CellId],
     campaign: &CampaignOutcome,
@@ -563,16 +457,6 @@ pub fn label_cells(
             (cell, sensitive)
         })
         .collect()
-}
-
-/// Cache hit rate in `[0, 1]` (0 when no lookups happened).
-pub(crate) fn hit_rate(hits: u64, misses: u64) -> f64 {
-    let total = hits + misses;
-    if total == 0 {
-        0.0
-    } else {
-        hits as f64 / total as f64
-    }
 }
 
 fn validate_active_config(active: &ActiveLearningConfig) -> Result<(), SsresfError> {

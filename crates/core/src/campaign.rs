@@ -15,15 +15,21 @@
 //! terminates once its verdict is decided and its state has re-converged
 //! with the golden run. Both fast paths are bit-identical to from-scratch
 //! simulation by construction.
+//!
+//! Every campaign is a job list from [`campaign_jobs`] run by the one
+//! executor, [`run_injection_jobs_with_golden`], which charges injections
+//! only; whoever ran the golden run charges its cost once.
 
 use crate::error::SsresfError;
 use crate::progress::{CampaignProgress, Instrument, ProgressPhase, WorkerUtilization};
-use crate::workload::{Dut, EngineKind, GoldenRun, Workload};
+use crate::workload::{Dut, EngineKind, GoldenRun, QueuedFaultOutcome, Workload};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ssresf_netlist::{CellId, CellKind, FlatNetlist, NetId};
-use ssresf_radiation::{PulseWidthModel, RadiationEnvironment};
+use ssresf_radiation::{
+    MissionProfile, MissionSegment, ParticleEnvironment, PulseWidthModel, RadiationEnvironment,
+};
 use ssresf_sim::{CycleTrace, EngineTelemetry, Fault, SetFault, SeuFault};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -246,49 +252,112 @@ impl CampaignOutcome {
         }
         stats
     }
+
+    /// Appends the records and adds the cost of `other`, an outcome over
+    /// the next slice of the same job list against the same golden run.
+    pub(crate) fn absorb(&mut self, other: &CampaignOutcome) {
+        self.records.extend_from_slice(&other.records);
+        self.simulation_time += other.simulation_time;
+        self.total_work += other.total_work;
+        let (t, o) = (&mut self.telemetry, &other.telemetry);
+        t.engine.accumulate(o.engine);
+        t.checkpoint_restores += o.checkpoint_restores;
+        t.early_stop_truncations += o.early_stop_truncations;
+        t.collapsed_faults += o.collapsed_faults;
+        t.lane_refills += o.lane_refills;
+    }
+
+    /// Charges one golden reference run — its engine `work` and counters
+    /// and its wall `time` — to this outcome and, when given, to the
+    /// `campaign.*` cost counters of `metrics`.
+    pub(crate) fn charge_golden(
+        &mut self,
+        work: u64,
+        engine: EngineTelemetry,
+        time: Duration,
+        metrics: Option<&ssresf_telemetry::MetricsRegistry>,
+    ) {
+        self.golden_time += time;
+        self.simulation_time += time;
+        self.total_work += work;
+        self.telemetry.engine.accumulate(engine);
+        if let Some(metrics) = metrics {
+            add_cost_counters(metrics, work, &engine);
+        }
+    }
 }
 
-/// Generates the faults for one cell (deterministic per cell and seed).
-pub fn faults_for_cell(dut: &Dut<'_>, cell: CellId, config: &CampaignConfig) -> Vec<Fault> {
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
-    );
-    let info = dut.netlist().cell(cell);
-    (0..config.injections_per_cell)
-        .map(|_| {
-            let cycle = rng.gen_range(0..config.workload.run_cycles.max(1));
+/// The injection job list of a static-environment campaign over `cells`:
+/// the job list of the one-segment mission spanning `config.workload`
+/// under `config.environment`, drawn by the same fault generator as
+/// [`run_mission_campaign_with`](crate::mission::run_mission_campaign_with).
+/// Deterministic, so every shard can regenerate it locally.
+///
+/// # Errors
+///
+/// [`SsresfError::Config`] when `injections_per_cell` is 0.
+pub fn campaign_jobs(
+    dut: &Dut<'_>,
+    cells: &[CellId],
+    config: &CampaignConfig,
+) -> Result<Vec<(CellId, Fault)>, SsresfError> {
+    let static_mission = MissionProfile {
+        segments: vec![MissionSegment {
+            label: "static".into(),
+            duration_cycles: config.workload.run_cycles,
+            environment: ParticleEnvironment::from_beam(config.environment),
+        }],
+    };
+    mission_jobs(dut, cells, config, &static_mission)
+}
+
+/// The fault generator: `config.injections_per_cell` faults per cell, in
+/// cell order. Each cell draws from its own RNG stream, seeded by
+/// `config.seed` and the cell id alone: strike cycle first (uniform over
+/// the whole mission), then the sub-cycle offset, then — for
+/// combinational cells — one pulse-width draw at the LET of the segment
+/// the strike landed in. `sample_width` consumes exactly one draw
+/// regardless of LET, so segment boundaries never shift later draws.
+pub(crate) fn mission_jobs(
+    dut: &Dut<'_>,
+    cells: &[CellId],
+    config: &CampaignConfig,
+    mission: &MissionProfile,
+) -> Result<Vec<(CellId, Fault)>, SsresfError> {
+    if config.injections_per_cell == 0 {
+        return Err(SsresfError::Config("injections_per_cell is 0".into()));
+    }
+    let total = mission.total_cycles().max(1);
+    let mut jobs = Vec::new();
+    for &cell in cells {
+        let mut rng = StdRng::seed_from_u64(
+            config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
+        );
+        let info = dut.netlist().cell(cell);
+        for _ in 0..config.injections_per_cell {
+            let cycle = rng.gen_range(0..total);
             let offset = rng.gen::<f64>() * 0.999;
-            if info.kind.is_sequential() {
+            let fault = if info.kind.is_sequential() {
                 Fault::Seu(SeuFault {
                     cell,
                     cycle,
                     offset,
                 })
             } else {
+                let segment = &mission.segments[mission.segment_at(cycle)];
                 Fault::Set(SetFault {
                     net: info.output,
                     cycle,
                     offset,
                     width: config
                         .pulse
-                        .sample_width(config.environment.let_value, &mut rng),
+                        .sample_width(segment.environment.let_value, &mut rng),
                 })
-            }
-        })
-        .collect()
-}
-
-/// Runs the full campaign over `cells`.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_campaign(
-    dut: &Dut<'_>,
-    cells: &[CellId],
-    config: &CampaignConfig,
-) -> Result<CampaignOutcome, SsresfError> {
-    run_campaign_with(dut, cells, config, &Instrument::default())
+            };
+            jobs.push((cell, fault));
+        }
+    }
+    Ok(jobs)
 }
 
 /// The per-run data a worker keeps besides the record itself.
@@ -431,41 +500,41 @@ fn run_batched_chunk<const W: usize>(
         refills: 0,
     };
 
-    // Writes one simulated verdict back to every member of its class,
-    // splitting the batch-shared work evenly via the (k, per, rem) counter
-    // so per-injection work sums stay exact.
+    // Writes a batch's simulated verdicts back to every member of their
+    // classes, splitting the batch's shared `work` evenly over its `n`
+    // jobs via the (k, per, rem) counter so per-injection work sums stay
+    // exact; the batch's engine counters go to its first job.
     let scatter = |mine: &mut [Option<JobResult>],
-                   class: usize,
-                   soft_error: bool,
-                   divergences: usize,
+                   verdicts: &mut dyn Iterator<Item = (usize, QueuedFaultOutcome)>,
+                   work: u64,
                    engine: EngineTelemetry,
-                   resumed_from: Option<u64>,
-                   early_stopped: bool,
-                   k: &mut u64,
-                   per: u64,
-                   rem: u64,
+                   n: u64,
                    jobs_done: &mut usize| {
-        for &i in &members[class] {
-            let (cell, fault) = job_chunk[i];
-            mine[i] = Some(JobResult {
-                record: InjectionRecord {
-                    cell,
-                    fault,
-                    soft_error,
-                    divergences,
-                },
-                work: per + u64::from(*k < rem),
-                engine: if *k == 0 {
-                    engine
-                } else {
-                    EngineTelemetry::default()
-                },
-                resumed_from,
-                early_stopped,
-            });
-            *k += 1;
-            *jobs_done += 1;
-            note_done(soft_error);
+        let (per, rem) = (work / n, work % n);
+        let mut k = 0u64;
+        for (class, verdict) in verdicts {
+            for &i in &members[class] {
+                let (cell, fault) = job_chunk[i];
+                mine[i] = Some(JobResult {
+                    record: InjectionRecord {
+                        cell,
+                        fault,
+                        soft_error: verdict.soft_error,
+                        divergences: verdict.divergences,
+                    },
+                    work: per + u64::from(k < rem),
+                    engine: if k == 0 {
+                        engine
+                    } else {
+                        EngineTelemetry::default()
+                    },
+                    resumed_from: verdict.resumed_from,
+                    early_stopped: verdict.early_stopped,
+                });
+                k += 1;
+                *jobs_done += 1;
+                note_done(verdict.soft_error);
+            }
         }
     };
 
@@ -484,28 +553,13 @@ fn run_batched_chunk<const W: usize>(
             dut.run_batch_queue::<W>(&config.workload, &faults, golden_run, Some(cancelled))?;
         occupancy.extend(out.occupancy.iter().copied());
         stats.refills = out.refills;
+        let mut verdicts = out
+            .faults
+            .iter()
+            .enumerate()
+            .filter_map(|(class, verdict)| verdict.map(|v| (class, v)));
         let n = job_chunk.len() as u64;
-        let per = out.work / n;
-        let rem = out.work % n;
-        let mut k = 0u64;
-        for (class, fault_outcome) in out.faults.iter().enumerate() {
-            let Some(fault_outcome) = fault_outcome else {
-                continue;
-            };
-            scatter(
-                mine,
-                class,
-                fault_outcome.soft_error,
-                fault_outcome.divergences,
-                out.engine,
-                fault_outcome.resumed_from,
-                fault_outcome.early_stopped,
-                &mut k,
-                per,
-                rem,
-                jobs_done,
-            );
-        }
+        scatter(mine, &mut verdicts, out.work, out.engine, n, jobs_done);
     } else {
         // Fixed-size batches of class representatives (lane 0 stays
         // golden, so a batch carries up to `64·W - 1` faults).
@@ -521,31 +575,25 @@ fn run_batched_chunk<const W: usize>(
             let batch =
                 dut.run_batch::<W>(&config.workload, &faults, golden_run, config.early_stop)?;
             occupancy.push(batch_classes.len() as u64);
+            let mut verdicts = batch_classes.iter().zip(&batch.lanes).map(|(&c, lane)| {
+                let verdict = QueuedFaultOutcome {
+                    soft_error: lane.soft_error,
+                    divergences: lane.divergences,
+                    resumed_from: batch.resumed_from,
+                    early_stopped: batch.early_stopped,
+                };
+                (c, verdict)
+            });
             let n: u64 = batch_classes.iter().map(|&c| members[c].len() as u64).sum();
-            let per = batch.work / n;
-            let rem = batch.work % n;
-            let mut k = 0u64;
-            for (&class, lane) in batch_classes.iter().zip(batch.lanes.iter()) {
-                scatter(
-                    mine,
-                    class,
-                    lane.soft_error,
-                    lane.divergences,
-                    batch.engine,
-                    batch.resumed_from,
-                    batch.early_stopped,
-                    &mut k,
-                    per,
-                    rem,
-                    jobs_done,
-                );
-            }
+            scatter(mine, &mut verdicts, batch.work, batch.engine, n, jobs_done);
         }
     }
     Ok(stats)
 }
 
-/// [`run_campaign`] with observability hooks attached.
+/// Runs the static-environment campaign over `cells`: [`campaign_jobs`]
+/// executed by [`run_injection_jobs_with_golden`] against a freshly
+/// simulated golden run, which is charged to the outcome once.
 ///
 /// `hooks.progress` receives a `Start` report after the golden run, a
 /// `Heartbeat` every [`Instrument::heartbeat_every`] completed injections,
@@ -565,79 +613,46 @@ pub fn run_campaign_with(
     config: &CampaignConfig,
     hooks: &Instrument<'_>,
 ) -> Result<CampaignOutcome, SsresfError> {
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
-    // Pre-generate every fault so worker threads only simulate.
-    let jobs: Vec<(CellId, Fault)> = cells
-        .iter()
-        .flat_map(|&cell| {
-            faults_for_cell(dut, cell, config)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect();
-    run_injection_jobs(dut, jobs, config, hooks)
+    run_jobs(dut, campaign_jobs(dut, cells, config)?, config, hooks)
 }
 
-/// Runs a pre-generated injection job list: golden run, parallel workers,
-/// telemetry. This is the execution engine shared by the static-environment
-/// campaign ([`run_campaign_with`]), mission campaigns
-/// ([`run_mission_campaign_with`](crate::mission::run_mission_campaign_with))
-/// and differential mitigation runs — any caller that can phrase its fault
-/// schedule as `(cell, fault)` pairs gets the checkpointing, early-stop,
-/// batching and determinism machinery unchanged.
-///
-/// Records come back in job order regardless of thread count.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_injection_jobs(
+/// Executes `jobs` against a freshly simulated golden run and charges that
+/// run to the outcome once: the composition behind every campaign that
+/// does not bring its own golden run.
+pub(crate) fn run_jobs(
     dut: &Dut<'_>,
     jobs: Vec<(CellId, Fault)>,
     config: &CampaignConfig,
     hooks: &Instrument<'_>,
 ) -> Result<CampaignOutcome, SsresfError> {
+    let (golden, golden_time) = timed_golden(config, hooks, || simulate_golden(dut, config))?;
+    let mut outcome = run_injection_jobs_with_golden(dut, jobs, config, &golden, hooks)?;
+    let g = &golden.outcome;
+    outcome.charge_golden(g.work, g.engine, golden_time, hooks.metrics);
+    Ok(outcome)
+}
+
+/// Simulates the golden reference run `config` describes, recording the
+/// checkpoints injection runs fast-forward from.
+pub(crate) fn simulate_golden(
+    dut: &Dut<'_>,
+    config: &CampaignConfig,
+) -> Result<GoldenRun, SsresfError> {
+    dut.run_golden_with_checkpoints(config.engine, &config.workload, config.checkpoint_interval)
+}
+
+/// Validates `config` for execution, then obtains its golden run from
+/// `produce` (a simulation or a cache lookup) and publishes the time that
+/// took as the `stage.golden` timing.
+pub(crate) fn timed_golden<E: From<SsresfError>>(
+    config: &CampaignConfig,
+    hooks: &Instrument<'_>,
+    produce: impl FnOnce() -> Result<GoldenRun, E>,
+) -> Result<(GoldenRun, Duration), E> {
     validate_job_config(config)?;
     let started = Instant::now();
-    // The golden run doubles as the checkpoint source workers fork from.
-    let golden = dut.run_golden_with_checkpoints(
-        config.engine,
-        &config.workload,
-        config.checkpoint_interval,
-    )?;
-    let golden_time = started.elapsed();
-    run_jobs_with_golden(dut, jobs, config, hooks, &golden, golden_time, true)
-}
-
-/// [`run_injection_jobs`] against a caller-supplied golden run.
-///
-/// The active-learning loop injects cells over many rounds against the
-/// same workload; simulating the golden reference once and passing it here
-/// removes the per-round golden cost. The returned outcome charges neither
-/// golden time nor golden work (both were paid once by the caller):
-/// `golden_time` is zero, and `total_work` / engine telemetry cover only
-/// the injections of this call. Records are bit-identical to
-/// [`run_injection_jobs`] with the same jobs and config.
-///
-/// `golden` must come from
-/// [`Dut::run_golden_with_checkpoints`](crate::workload::Dut::run_golden_with_checkpoints)
-/// with the same engine, workload and checkpoint interval as `config`;
-/// a mismatched golden run yields meaningless divergence counts.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_injection_jobs_with_golden(
-    dut: &Dut<'_>,
-    jobs: Vec<(CellId, Fault)>,
-    config: &CampaignConfig,
-    golden: &GoldenRun,
-    hooks: &Instrument<'_>,
-) -> Result<CampaignOutcome, SsresfError> {
-    validate_job_config(config)?;
-    run_jobs_with_golden(dut, jobs, config, hooks, golden, Duration::ZERO, false)
+    let golden = produce()?;
+    Ok((golden, hooks.stage("stage.golden", started.elapsed())))
 }
 
 /// Shared configuration validation for the job-level entry points.
@@ -671,18 +686,33 @@ fn validate_job_config(config: &CampaignConfig) -> Result<(), SsresfError> {
     Ok(())
 }
 
-/// The execution engine behind both job-level entry points. When
-/// `charge_golden` is false the golden run's work and engine counters are
-/// excluded from the outcome (the caller paid them once up front).
-fn run_jobs_with_golden(
+/// The campaign executor: runs a pre-generated `(cell, fault)` job list
+/// against a caller-supplied golden run with parallel workers,
+/// checkpointing, early stop, batching and telemetry. Every campaign entry
+/// point feeds a job list from [`campaign_jobs`] (or its mission form)
+/// through here. Records come back in job order regardless of thread count.
+///
+/// The returned outcome charges injections only: `golden_time` is zero,
+/// and `total_work` / engine telemetry cover only the jobs of this call,
+/// so one golden run can serve many calls (active-learning rounds, the
+/// shards of a campaign) and be charged once by the caller.
+///
+/// `golden` must come from
+/// [`Dut::run_golden_with_checkpoints`](crate::workload::Dut::run_golden_with_checkpoints)
+/// with the same engine, workload and checkpoint interval as `config`;
+/// a mismatched golden run yields meaningless divergence counts.
+///
+/// # Errors
+///
+/// Propagates configuration and simulation failures.
+pub fn run_injection_jobs_with_golden(
     dut: &Dut<'_>,
     jobs: Vec<(CellId, Fault)>,
     config: &CampaignConfig,
-    hooks: &Instrument<'_>,
     golden: &GoldenRun,
-    golden_time: Duration,
-    charge_golden: bool,
+    hooks: &Instrument<'_>,
 ) -> Result<CampaignOutcome, SsresfError> {
+    validate_job_config(config)?;
     let started = Instant::now();
     let threads = if config.threads == 0 {
         std::thread::available_parallelism()
@@ -693,7 +723,6 @@ fn run_jobs_with_golden(
     };
     let threads = threads.min(jobs.len().max(1));
 
-    let golden_run = golden;
     let golden_trace = &golden.outcome.trace;
     let mut results: Vec<Option<JobResult>> = Vec::with_capacity(jobs.len());
     results.resize_with(jobs.len(), || None);
@@ -792,7 +821,7 @@ fn run_jobs_with_golden(
                     match run(
                         dut,
                         config,
-                        golden_run,
+                        golden,
                         collapse,
                         job_chunk,
                         mine,
@@ -815,7 +844,7 @@ fn run_jobs_with_golden(
                             config.engine,
                             &config.workload,
                             std::slice::from_ref(fault),
-                            golden_run,
+                            golden,
                             config.early_stop,
                         );
                         match run {
@@ -875,21 +904,11 @@ fn run_jobs_with_golden(
     }
     let mut records = Vec::with_capacity(jobs.len());
     let mut work_per_injection = Vec::with_capacity(jobs.len());
-    let mut total_work = if charge_golden {
-        golden.outcome.work
-    } else {
-        0
-    };
+    let mut total_work = 0;
     let mut telemetry = CampaignTelemetry {
-        engine: if charge_golden {
-            golden.outcome.engine
-        } else {
-            EngineTelemetry::default()
-        },
-        checkpoint_restores: 0,
-        early_stop_truncations: 0,
         collapsed_faults,
         lane_refills,
+        ..CampaignTelemetry::default()
     };
     for slot in results {
         let result = slot.expect("worker completed without error");
@@ -905,13 +924,21 @@ fn run_jobs_with_golden(
         }
     }
 
-    let simulation_time = golden_time + started.elapsed();
+    let outcome = CampaignOutcome {
+        golden: golden.outcome.trace.clone(),
+        golden_activity: golden.outcome.activity_per_cycle.clone(),
+        records,
+        simulation_time: started.elapsed(),
+        golden_time: Duration::ZERO,
+        total_work,
+        telemetry,
+    };
     if let Some(sink) = hooks.progress {
         sink.report(&CampaignProgress {
             phase: ProgressPhase::Finished,
-            completed: records.len(),
+            completed: outcome.records.len(),
             total,
-            soft_errors: records.iter().filter(|r| r.soft_error).count(),
+            soft_errors: outcome.soft_errors(),
             elapsed: injections_started.elapsed(),
             workers: worker_stats.clone(),
         });
@@ -919,28 +946,15 @@ fn run_jobs_with_golden(
     if let Some(metrics) = hooks.metrics {
         record_campaign_metrics(
             metrics,
-            &records,
+            &outcome,
             &work_per_injection,
-            &telemetry,
-            total_work,
-            golden_time,
-            simulation_time,
             threads,
             &worker_stats,
             &batch_occupancy,
             config.batching,
         );
     }
-
-    Ok(CampaignOutcome {
-        golden: golden.outcome.trace.clone(),
-        golden_activity: golden.outcome.activity_per_cycle.clone(),
-        records,
-        simulation_time,
-        golden_time,
-        total_work,
-        telemetry,
-    })
+    Ok(outcome)
 }
 
 /// Publishes one finished campaign into `metrics`.
@@ -951,42 +965,22 @@ fn run_jobs_with_golden(
 /// across runs of the same seed.
 ///
 /// [`MetricsRegistry::to_json_deterministic`]: ssresf_telemetry::MetricsRegistry::to_json_deterministic
-#[allow(clippy::too_many_arguments)]
 fn record_campaign_metrics(
     metrics: &ssresf_telemetry::MetricsRegistry,
-    records: &[InjectionRecord],
+    outcome: &CampaignOutcome,
     work_per_injection: &[u64],
-    telemetry: &CampaignTelemetry,
-    total_work: u64,
-    golden_time: Duration,
-    simulation_time: Duration,
     threads: usize,
     worker_stats: &[WorkerUtilization],
     batch_occupancy: &[u64],
     batching: bool,
 ) {
-    metrics.counter_add("campaign.injections.total", records.len() as u64);
+    let telemetry = &outcome.telemetry;
+    metrics.counter_add("campaign.injections.total", outcome.records.len() as u64);
     metrics.counter_add(
         "campaign.injections.soft_errors",
-        records.iter().filter(|r| r.soft_error).count() as u64,
+        outcome.soft_errors() as u64,
     );
-    metrics.counter_add(
-        "campaign.engine.events_processed",
-        telemetry.engine.events_processed,
-    );
-    metrics.counter_add(
-        "campaign.engine.cells_evaluated",
-        telemetry.engine.cells_evaluated,
-    );
-    metrics.counter_add(
-        "campaign.engine.delta_cycles",
-        telemetry.engine.delta_cycles,
-    );
-    metrics.counter_add(
-        "campaign.engine.wheel_advances",
-        telemetry.engine.wheel_advances,
-    );
-    metrics.counter_add("campaign.engine.word_evals", telemetry.engine.word_evals);
+    add_cost_counters(metrics, outcome.total_work, &telemetry.engine);
     metrics.counter_add(
         "campaign.checkpoint.restores",
         telemetry.checkpoint_restores,
@@ -995,7 +989,6 @@ fn record_campaign_metrics(
         "campaign.early_stop.truncations",
         telemetry.early_stop_truncations,
     );
-    metrics.counter_add("campaign.work.total", total_work);
     // Batched-mode-only counters: emitted even when zero so the batched
     // key set is stable across configs, but absent in scalar mode.
     if batching {
@@ -1014,9 +1007,9 @@ fn record_campaign_metrics(
         metrics.observe("campaign.batch_occupancy", filled as f64);
     }
     metrics.gauge_set("campaign.threads", threads as f64);
-    let elapsed = simulation_time.as_secs_f64();
+    let elapsed = outcome.simulation_time.as_secs_f64();
     let throughput = if elapsed > 0.0 {
-        records.len() as f64 / elapsed
+        outcome.records.len() as f64 / elapsed
     } else {
         0.0
     };
@@ -1037,11 +1030,22 @@ fn record_campaign_metrics(
             utilization,
         );
     }
-    metrics.timing_add("stage.golden", golden_time);
-    metrics.timing_add(
-        "stage.injections",
-        simulation_time.saturating_sub(golden_time),
-    );
+    metrics.timing_add("stage.injections", outcome.simulation_time);
+}
+
+/// Adds a run's engine work and engine counters to the `campaign.work.total`
+/// and `campaign.engine.*` counters.
+fn add_cost_counters(
+    metrics: &ssresf_telemetry::MetricsRegistry,
+    work: u64,
+    engine: &EngineTelemetry,
+) {
+    metrics.counter_add("campaign.engine.events_processed", engine.events_processed);
+    metrics.counter_add("campaign.engine.cells_evaluated", engine.cells_evaluated);
+    metrics.counter_add("campaign.engine.delta_cycles", engine.delta_cycles);
+    metrics.counter_add("campaign.engine.wheel_advances", engine.wheel_advances);
+    metrics.counter_add("campaign.engine.word_evals", engine.word_evals);
+    metrics.counter_add("campaign.work.total", work);
 }
 
 #[cfg(test)]
@@ -1104,7 +1108,7 @@ mod tests {
             injections_per_cell: 2,
             ..CampaignConfig::default()
         };
-        let outcome = run_campaign(&dut, &ffs, &config).unwrap();
+        let outcome = run_campaign_with(&dut, &ffs, &config, &Instrument::default()).unwrap();
         assert_eq!(outcome.records.len(), 8);
         // Counter bits are directly observable: every flip is a soft error.
         assert_eq!(outcome.soft_errors(), 8);
@@ -1127,8 +1131,20 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let one = run_campaign(&dut, &cells, &CampaignConfig { threads: 1, ..base }).unwrap();
-        let four = run_campaign(&dut, &cells, &CampaignConfig { threads: 4, ..base }).unwrap();
+        let one = run_campaign_with(
+            &dut,
+            &cells,
+            &CampaignConfig { threads: 1, ..base },
+            &Instrument::default(),
+        )
+        .unwrap();
+        let four = run_campaign_with(
+            &dut,
+            &cells,
+            &CampaignConfig { threads: 4, ..base },
+            &Instrument::default(),
+        )
+        .unwrap();
         assert_eq!(one.records, four.records);
     }
 
@@ -1167,7 +1183,7 @@ mod tests {
         // An unset flag is inert: records match the uninstrumented run.
         flag.store(false, Ordering::Relaxed);
         for config in [&scalar, &batched] {
-            let plain = run_campaign(&dut, &cells, config).unwrap();
+            let plain = run_campaign_with(&dut, &cells, config, &Instrument::default()).unwrap();
             let hooked = run_campaign_with(&dut, &cells, config, &hooks).unwrap();
             assert_eq!(plain.records, hooked.records);
         }
@@ -1189,22 +1205,24 @@ mod tests {
             },
             ..CampaignConfig::default()
         };
-        let ev = run_campaign(
+        let ev = run_campaign_with(
             &dut,
             &ffs,
             &CampaignConfig {
                 engine: EngineKind::EventDriven,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
-        let lv = run_campaign(
+        let lv = run_campaign_with(
             &dut,
             &ffs,
             &CampaignConfig {
                 engine: EngineKind::Levelized,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         // SEU semantics are cycle-exact in both engines.
@@ -1249,22 +1267,24 @@ mod tests {
             injections_per_cell: 2,
             ..CampaignConfig::default()
         };
-        let scratch = run_campaign(
+        let scratch = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
                 checkpoint_interval: 0,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
-        let checkpointed = run_campaign(
+        let checkpointed = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
                 checkpoint_interval: 10,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(scratch.records, checkpointed.records);
@@ -1293,14 +1313,15 @@ mod tests {
             checkpoint_interval: 5,
             ..CampaignConfig::default()
         };
-        let plain = run_campaign(&dut, &cells, &base).unwrap();
-        let stopped = run_campaign(
+        let plain = run_campaign_with(&dut, &cells, &base, &Instrument::default()).unwrap();
+        let stopped = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
                 early_stop: true,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(plain.records, stopped.records);
@@ -1322,7 +1343,7 @@ mod tests {
             injections_per_cell: 0,
             ..CampaignConfig::default()
         };
-        assert!(run_campaign(&dut, &[], &config).is_err());
+        assert!(run_campaign_with(&dut, &[], &config, &Instrument::default()).is_err());
     }
 
     #[test]
@@ -1338,7 +1359,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert!(matches!(
-            run_campaign(&dut, &cells, &config),
+            run_campaign_with(&dut, &cells, &config, &Instrument::default()),
             Err(SsresfError::Config(_))
         ));
     }
@@ -1348,7 +1369,7 @@ mod tests {
         let flat = counter_netlist();
         let dut = Dut::from_conventions(&flat).unwrap();
         let cells: Vec<CellId> = flat.iter_cells().map(|(id, _)| id).collect();
-        let outcome = run_campaign(
+        let outcome = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
@@ -1356,6 +1377,7 @@ mod tests {
                 checkpoint_interval: 10,
                 ..CampaignConfig::default()
             },
+            &Instrument::default(),
         )
         .unwrap();
         // Every injection fast-forwarded from a golden checkpoint, and the
@@ -1375,13 +1397,14 @@ mod tests {
         let flat = counter_netlist();
         let dut = Dut::from_conventions(&flat).unwrap();
         let cells: Vec<CellId> = flat.iter_cells().map(|(id, _)| id).collect();
-        let outcome = run_campaign(
+        let outcome = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
                 injections_per_cell: 3,
                 ..CampaignConfig::default()
             },
+            &Instrument::default(),
         )
         .unwrap();
         let stats = outcome.per_cell_stats();
@@ -1449,7 +1472,7 @@ mod tests {
             threads: 2,
             ..CampaignConfig::default()
         };
-        let plain = run_campaign(&dut, &cells, &config).unwrap();
+        let plain = run_campaign_with(&dut, &cells, &config, &Instrument::default()).unwrap();
         let metrics = ssresf_telemetry::MetricsRegistry::new();
         let instrumented =
             run_campaign_with(&dut, &cells, &config, &Instrument::with_metrics(&metrics)).unwrap();
@@ -1490,10 +1513,15 @@ mod tests {
                 early_stop,
                 ..base
             };
-            let scalar =
-                run_campaign(&dut, &cells, &CampaignConfig { threads: 1, ..mode }).unwrap();
+            let scalar = run_campaign_with(
+                &dut,
+                &cells,
+                &CampaignConfig { threads: 1, ..mode },
+                &Instrument::default(),
+            )
+            .unwrap();
             for threads in [1usize, 4] {
-                let batched = run_campaign(
+                let batched = run_campaign_with(
                     &dut,
                     &cells,
                     &CampaignConfig {
@@ -1501,6 +1529,7 @@ mod tests {
                         threads,
                         ..mode
                     },
+                    &Instrument::default(),
                 )
                 .unwrap();
                 assert_eq!(
@@ -1538,14 +1567,15 @@ mod tests {
             threads: 1,
             ..CampaignConfig::default()
         };
-        let plain = run_campaign(&dut, &cells, &base).unwrap();
-        let stopped = run_campaign(
+        let plain = run_campaign_with(&dut, &cells, &base, &Instrument::default()).unwrap();
+        let stopped = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
                 early_stop: true,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(plain.records, stopped.records);
@@ -1626,13 +1656,19 @@ mod tests {
             checkpoint_interval: 5,
             ..CampaignConfig::default()
         };
-        let scalar = run_campaign(&dut, &cells, &CampaignConfig { threads: 1, ..base }).unwrap();
+        let scalar = run_campaign_with(
+            &dut,
+            &cells,
+            &CampaignConfig { threads: 1, ..base },
+            &Instrument::default(),
+        )
+        .unwrap();
         let mut saw_collapse = false;
         let mut saw_refill = false;
         for batch_lanes in ssresf_sim::SUPPORTED_LANE_COUNTS {
             for (collapse_faults, lane_refill) in [(true, false), (false, true), (true, true)] {
                 for threads in [1usize, 3] {
-                    let fast = run_campaign(
+                    let fast = run_campaign_with(
                         &dut,
                         &cells,
                         &CampaignConfig {
@@ -1643,6 +1679,7 @@ mod tests {
                             threads,
                             ..base
                         },
+                        &Instrument::default(),
                     )
                     .unwrap();
                     assert_eq!(
@@ -1740,8 +1777,8 @@ mod tests {
             threads: 1,
             ..CampaignConfig::default()
         };
-        let scalar = run_campaign(&dut, &cells, &base).unwrap();
-        let collapsed = run_campaign(
+        let scalar = run_campaign_with(&dut, &cells, &base, &Instrument::default()).unwrap();
+        let collapsed = run_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
@@ -1749,6 +1786,7 @@ mod tests {
                 collapse_faults: true,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(scalar.records, collapsed.records);
@@ -1767,7 +1805,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert!(matches!(
-            run_campaign(&dut, &cells, &config),
+            run_campaign_with(&dut, &cells, &config, &Instrument::default()),
             Err(SsresfError::Config(_))
         ));
     }
@@ -1784,7 +1822,7 @@ mod tests {
                 ..CampaignConfig::default()
             };
             assert!(matches!(
-                run_campaign(&dut, &cells, &config),
+                run_campaign_with(&dut, &cells, &config, &Instrument::default()),
                 Err(SsresfError::Config(_))
             ));
         }
@@ -1801,7 +1839,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         assert!(matches!(
-            run_campaign(&dut, &cells, &config),
+            run_campaign_with(&dut, &cells, &config, &Instrument::default()),
             Err(SsresfError::Config(_))
         ));
     }
@@ -1827,14 +1865,15 @@ mod tests {
             checkpoint_interval: 0,
             ..CampaignConfig::default()
         };
-        let scalar = run_campaign(&dut, &ffs, &base).unwrap();
-        let batched = run_campaign(
+        let scalar = run_campaign_with(&dut, &ffs, &base, &Instrument::default()).unwrap();
+        let batched = run_campaign_with(
             &dut,
             &ffs,
             &CampaignConfig {
                 batching: true,
                 ..base
             },
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(scalar.records, batched.records);
@@ -1855,7 +1894,7 @@ mod tests {
         let dut = Dut::from_conventions(&flat).unwrap();
         let config = CampaignConfig::default();
         for (id, cell) in flat.iter_cells() {
-            for fault in faults_for_cell(&dut, id, &config) {
+            for (_, fault) in campaign_jobs(&dut, &[id], &config).unwrap() {
                 match fault {
                     Fault::Seu(f) => {
                         assert!(cell.kind.is_sequential());

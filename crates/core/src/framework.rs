@@ -6,8 +6,18 @@
 //! engineering → SVM training → whole-netlist sensitivity prediction,
 //! returning an [`Analysis`] with every intermediate artifact plus the
 //! timing split that yields the paper's Table-III speed-up.
+//!
+//! [`Ssresf::analyze`] and [`Ssresf::analyze_active`] are one pipeline
+//! with two sampling strategies: its prologue (validation, DUT,
+//! clustering, golden run), feature extraction and epilogue (final
+//! training, prediction, class counts, cross-sections, metrics) run once
+//! either way; the strategy picks, injects and labels the training cells.
 
-use crate::campaign::{run_campaign_with, CampaignConfig, CampaignOutcome};
+use crate::active::label_cells;
+use crate::campaign::{
+    campaign_jobs, run_injection_jobs_with_golden, simulate_golden, timed_golden, CampaignConfig,
+    CampaignOutcome,
+};
 use crate::clustering::{cluster_cells, Clustering, ClusteringConfig};
 use crate::error::SsresfError;
 use crate::progress::Instrument;
@@ -16,7 +26,9 @@ use crate::sensitivity::{
     train_sensitivity, SensitivityConfig, SensitivityReport, TrainedSensitivity,
 };
 use crate::ser::{evaluate_ser, SerEvaluation};
+use crate::workload::{Dut, GoldenRun};
 use serde::{Deserialize, Serialize};
+use ssresf_mlcore::{parallel_map, TrainStats};
 use ssresf_netlist::{CellFeatures, CellId, FeatureExtractor, FlatNetlist, ModuleClass};
 use ssresf_radiation::SoftErrorDatabase;
 use std::collections::BTreeMap;
@@ -249,79 +261,90 @@ impl Ssresf {
         netlist: &FlatNetlist,
         hooks: &Instrument<'_>,
     ) -> Result<Analysis, SsresfError> {
+        let config = &self.config;
+        // The paper's sampling strategy: one equal-proportion draw,
+        // injected in one shot, charged for the pipeline's golden run.
+        let (analysis, ()) = self.run_pipeline(netlist, hooks, |p, timing| {
+            let started = Instant::now();
+            let sample = sample_clusters(&p.clustering, &config.sampling)?;
+            timing.sampling = hooks.stage("stage.sampling", started.elapsed());
+
+            let cells = sample.all_cells();
+            let jobs = campaign_jobs(&p.dut, &cells, &config.campaign)?;
+            let mut campaign =
+                run_injection_jobs_with_golden(&p.dut, jobs, &config.campaign, &p.golden, hooks)?;
+            timing.injections = campaign.simulation_time;
+            let golden = &p.golden.outcome;
+            campaign.charge_golden(golden.work, golden.engine, timing.golden, hooks.metrics);
+
+            let started = Instant::now();
+            let ser = evaluate_ser(netlist, &p.clustering, &sample, &campaign)?;
+            timing.ser = hooks.stage("stage.ser", started.elapsed());
+            let labels = label_cells(&cells, &campaign, &p.clustering, &ser, config.labeling);
+            let labeled = Labeled {
+                sample,
+                campaign,
+                ser,
+                labels,
+                features: None,
+                warm_stats: TrainStats::default(),
+            };
+            Ok((labeled, ()))
+        })?;
+        Ok(analysis)
+    }
+
+    /// The one analysis pipeline: the prologue (validation, DUT,
+    /// clustering, golden run), then `strategy`, which picks, injects and
+    /// labels the training cells, then the epilogue (feature extraction
+    /// unless the strategy needed the features itself, final training,
+    /// whole-netlist prediction, class counts, cross-sections and the
+    /// `pipeline.*` / `svm.*` metrics).
+    pub(crate) fn run_pipeline<T>(
+        &self,
+        netlist: &FlatNetlist,
+        hooks: &Instrument<'_>,
+        strategy: impl FnOnce(&Prologue<'_>, &mut Timing) -> Result<(Labeled, T), SsresfError>,
+    ) -> Result<(Analysis, T), SsresfError> {
         self.validate_config()?;
-        let dut = crate::workload::Dut::from_conventions(netlist)?;
+        let config = &self.config;
+        let dut = Dut::from_conventions(netlist)?;
         let mut timing = Timing::default();
-        let stage = |name: &str, elapsed: Duration| {
-            if let Some(metrics) = hooks.metrics {
-                metrics.timing_add(name, elapsed);
+
+        let started = Instant::now();
+        let clustering = cluster_cells(netlist, &config.clustering)?;
+        timing.clustering = hooks.stage("stage.clustering", started.elapsed());
+        let (golden, golden_time) = timed_golden(&config.campaign, hooks, || {
+            simulate_golden(&dut, &config.campaign)
+        })?;
+        timing.golden = golden_time;
+
+        let prologue = Prologue {
+            dut,
+            clustering,
+            golden,
+        };
+        let (mut labeled, extra) = strategy(&prologue, &mut timing)?;
+        // Only the campaign needed the golden run's checkpoints; freeing
+        // them first keeps them out of the feature and training peak.
+        drop(prologue.golden);
+        let features = match labeled.features.take() {
+            Some(features) => features,
+            None => {
+                let activity = &labeled.campaign.golden_activity;
+                extract_features(netlist, activity, config, hooks, &mut timing)?
             }
-            elapsed
         };
 
-        // 1–2. Clustering and equal-proportion sampling.
-        let started = Instant::now();
-        let clustering = cluster_cells(netlist, &self.config.clustering)?;
-        timing.clustering = stage("stage.clustering", started.elapsed());
-        let started = Instant::now();
-        let sample = sample_clusters(&clustering, &self.config.sampling)?;
-        timing.sampling = stage("stage.sampling", started.elapsed());
-
-        // 3. Fault injection and simulation. The campaign records its own
-        // golden/injection split (and the campaign.* metrics).
-        let campaign = run_campaign_with(&dut, &sample.all_cells(), &self.config.campaign, hooks)?;
-        timing.golden = campaign.golden_time;
-        timing.injections = campaign
-            .simulation_time
-            .saturating_sub(campaign.golden_time);
-
-        // 4. SER evaluation (Eq. 2).
-        let started = Instant::now();
-        let ser = evaluate_ser(netlist, &clustering, &sample, &campaign)?;
-        timing.ser = stage("stage.ser", started.elapsed());
-
-        // 5–7. Feature engineering and SVM training on the sampled cells.
-        // Per-cell error statistics are built once and reused, instead of
-        // rescanning all records for every sampled cell. Per-cell feature
-        // extraction is independent, so it fans out across the configured
-        // worker threads with results kept in cell order.
-        let started = Instant::now();
-        let extractor = FeatureExtractor::new(netlist)?;
-        let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
-        let features =
-            ssresf_mlcore::parallel_map(&cell_ids, self.config.sensitivity.threads, |_, &id| {
-                extractor.extract_cell(id, Some(&campaign.golden_activity))
-            });
-        let cell_stats = campaign.per_cell_stats();
-        let labels: Vec<(CellId, bool)> = sample
-            .all_cells()
-            .iter()
-            .map(|&cell| {
-                let probability = cell_stats
-                    .get(&cell)
-                    .map(|s| s.probability())
-                    .unwrap_or(0.0);
-                let sensitive = match self.config.labeling {
-                    LabelRule::PerCell { min_probability } => probability >= min_probability,
-                    LabelRule::Blended => {
-                        let cluster = clustering.cluster_of(cell);
-                        let cluster_ser = ser.per_cluster[cluster].ser();
-                        (probability + cluster_ser) / 2.0 >= ser.chip_ser.max(1e-9)
-                    }
-                };
-                (cell, sensitive)
-            })
-            .collect();
-        timing.features = stage("stage.features", started.elapsed());
         let started = Instant::now();
         let (classifier, sensitivity_report) =
-            train_sensitivity(&features, &labels, &self.config.sensitivity)?;
-        timing.svm_train = stage("stage.svm_train", started.elapsed());
+            train_sensitivity(&features, &labeled.labels, &config.sensitivity)?;
+        timing.svm_train += hooks.stage("stage.svm_train", started.elapsed());
 
-        // 8. Whole-netlist prediction (the fast path replacing simulation).
+        // Whole-netlist prediction (the fast path replacing simulation).
         let started = Instant::now();
-        let predictions = classifier.classify_all_with(&features, self.config.sensitivity.threads);
-        timing.predict = stage("stage.predict", started.elapsed());
+        let predictions = classifier.classify_all_with(&features, config.sensitivity.threads);
+        timing.predict = hooks.stage("stage.predict", started.elapsed());
 
         let mut class_counts: BTreeMap<String, (usize, usize)> = BTreeMap::new();
         for (&(cell, high), feature) in predictions.iter().zip(&features) {
@@ -330,31 +353,30 @@ impl Ssresf {
                 ModuleClass::infer(netlist.paths().resolve(netlist.cell(cell).path).segments());
             let entry = class_counts.entry(class.name().to_owned()).or_default();
             entry.1 += 1;
-            if high {
-                entry.0 += 1;
-            }
+            entry.0 += usize::from(high);
         }
 
-        // 9. Chip cross-sections at the campaign LET.
+        // Chip cross-sections at the campaign LET.
         let chip_xsect = scaled_chip_xsect(
             netlist,
-            self.config.campaign.environment.let_value,
-            self.config.memory_scale,
+            config.campaign.environment.let_value,
+            config.memory_scale,
         );
 
         if let Some(metrics) = hooks.metrics {
             metrics.counter_add("pipeline.analyses", 1);
             metrics.gauge_set("pipeline.cells", netlist.cells().len() as f64);
-            metrics.gauge_set("pipeline.clusters", clustering.clusters as f64);
-            metrics.gauge_set("pipeline.sampled_cells", sample.len() as f64);
+            metrics.gauge_set("pipeline.clusters", prologue.clustering.clusters as f64);
+            metrics.gauge_set("pipeline.sampled_cells", labeled.sample.len() as f64);
             metrics.gauge_set("pipeline.predictions", predictions.len() as f64);
             let solver = &sensitivity_report.solver;
-            metrics.counter_add("svm.kernel_cache.hits", solver.kernel_cache_hits);
-            metrics.counter_add("svm.kernel_cache.misses", solver.kernel_cache_misses);
-            metrics.gauge_set(
-                "svm.kernel_cache.hit_rate",
-                crate::active::hit_rate(solver.kernel_cache_hits, solver.kernel_cache_misses),
-            );
+            let warm = &labeled.warm_stats;
+            let hits = solver.kernel_cache_hits + warm.kernel_cache_hits;
+            let misses = solver.kernel_cache_misses + warm.kernel_cache_misses;
+            metrics.counter_add("svm.kernel_cache.hits", hits);
+            metrics.counter_add("svm.kernel_cache.misses", misses);
+            let hit_rate = hits as f64 / (hits + misses).max(1) as f64;
+            metrics.gauge_set("svm.kernel_cache.hit_rate", hit_rate);
             metrics.observe("svm.smo_iterations", solver.iterations as f64);
             let predict_secs = timing.predict.as_secs_f64();
             let throughput = if predict_secs > 0.0 {
@@ -365,19 +387,20 @@ impl Ssresf {
             metrics.gauge_set("pipeline.predict_throughput_per_second", throughput);
         }
 
-        Ok(Analysis {
+        let analysis = Analysis {
             timing,
-            clustering,
-            sample,
-            campaign,
-            ser,
+            clustering: prologue.clustering,
+            sample: labeled.sample,
+            campaign: labeled.campaign,
+            ser: labeled.ser,
             sensitivity_report,
             classifier,
             predictions,
             class_counts,
             chip_xsect,
             features,
-        })
+        };
+        Ok((analysis, extra))
     }
 
     /// Entry-point configuration validation shared by every analysis.
@@ -397,6 +420,55 @@ impl Ssresf {
         }
         Ok(())
     }
+}
+
+/// What the pipeline prologue hands a sampling strategy.
+pub(crate) struct Prologue<'n> {
+    /// The netlist under analysis, with its clock and reset conventions.
+    pub(crate) dut: Dut<'n>,
+    /// Cluster assignment of every cell.
+    pub(crate) clustering: Clustering,
+    /// The one golden run every injection compares against.
+    pub(crate) golden: GoldenRun,
+}
+
+/// What a sampling strategy hands the pipeline epilogue.
+pub(crate) struct Labeled {
+    /// The injected cells, per cluster.
+    pub(crate) sample: ClusterSample,
+    /// Their merged campaign.
+    pub(crate) campaign: CampaignOutcome,
+    /// SER of that campaign (Eq. 2).
+    pub(crate) ser: SerEvaluation,
+    /// Training labels of the injected cells.
+    pub(crate) labels: Vec<(CellId, bool)>,
+    /// Feature records of every cell, when the strategy extracted them
+    /// itself; otherwise the epilogue extracts them after the campaign,
+    /// so the campaign's peak memory never holds them.
+    pub(crate) features: Option<Vec<CellFeatures>>,
+    /// Solver counters of any training the strategy did itself.
+    pub(crate) warm_stats: TrainStats,
+}
+
+/// Feature records of every cell, in cell-id order, under the golden
+/// run's per-net toggle `activity`, timed as the `stage.features` stage.
+/// Per-cell extraction is independent, so it fans out across the
+/// configured worker threads with results kept in cell order.
+pub(crate) fn extract_features(
+    netlist: &FlatNetlist,
+    activity: &[f64],
+    config: &SsresfConfig,
+    hooks: &Instrument<'_>,
+    timing: &mut Timing,
+) -> Result<Vec<CellFeatures>, SsresfError> {
+    let started = Instant::now();
+    let extractor = FeatureExtractor::new(netlist)?;
+    let cell_ids: Vec<CellId> = netlist.iter_cells().map(|(id, _)| id).collect();
+    let features = parallel_map(&cell_ids, config.sensitivity.threads, |_, &id| {
+        extractor.extract_cell(id, Some(activity))
+    });
+    timing.features += hooks.stage("stage.features", started.elapsed());
+    Ok(features)
 }
 
 /// Chip `(SEU, SET)` cross-sections with memory bits scaled by `mem_scale`.

@@ -6,14 +6,12 @@
 //! TMR-hardened copy of the netlist; re-running the injection campaign on
 //! the same fault list quantifies the SER reduction per unit area.
 
-use crate::campaign::{run_injection_jobs, CampaignConfig, InjectionRecord};
+use crate::campaign::{run_jobs, CampaignConfig, InjectionRecord};
 use crate::error::SsresfError;
 use crate::framework::Analysis;
-use crate::mission::{
-    mission_faults_for_cell, run_mission_campaign_with, segment_stats, MissionOutcome,
-};
+use crate::mission::{mission_config, run_mission_campaign_with, segment_stats, MissionOutcome};
 use crate::progress::Instrument;
-use crate::workload::{Dut, Workload};
+use crate::workload::Dut;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -247,25 +245,11 @@ pub fn run_differential_campaign(
 ) -> Result<DifferentialOutcome, SsresfError> {
     let dut = Dut::from_conventions(netlist)?;
     // Baseline run: validates the mission/config and publishes the usual
-    // mission.* counters through `hooks`.
+    // mission.* counters through `hooks`. Its records, in job order, are
+    // the shared schedule.
     let baseline = run_mission_campaign_with(&dut, cells, config, mission, hooks)?;
-    let effective = CampaignConfig {
-        workload: Workload {
-            reset_cycles: config.workload.reset_cycles,
-            run_cycles: mission.total_cycles(),
-        },
-        ..*config
-    };
-    // The shared schedule: regenerated deterministically from the baseline
-    // netlist — byte-identical to the jobs the baseline run simulated.
-    let jobs: Vec<(CellId, Fault)> = cells
-        .iter()
-        .flat_map(|&cell| {
-            mission_faults_for_cell(&dut, cell, config, mission)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect();
+    let effective = mission_config(config, mission);
+    let schedule = &baseline.campaign.records;
 
     let mut mitigations = Vec::with_capacity(plans.len());
     for plan in plans {
@@ -292,36 +276,33 @@ pub fn run_differential_campaign(
             let curve = WeibullCurve::default_for(class);
             curve.cross_section(segment.environment.let_value).value() <= 0.0
         };
-        let mut active = Vec::with_capacity(jobs.len());
-        let mut is_masked = vec![false; jobs.len()];
-        for (i, (cell, fault)) in jobs.iter().enumerate() {
-            if masked(*cell, fault) {
-                is_masked[i] = true;
-            } else {
-                active.push((*cell, *fault));
-            }
-        }
-        let masked_injections = jobs.len() - active.len();
-        let outcome =
-            run_injection_jobs(&mitigated_dut, active, &effective, &Instrument::default())?;
+        let is_masked: Vec<bool> = schedule.iter().map(|r| masked(r.cell, &r.fault)).collect();
+        let active: Vec<(CellId, Fault)> = schedule
+            .iter()
+            .zip(&is_masked)
+            .filter(|&(_, &m)| !m)
+            .map(|(r, _)| (r.cell, r.fault))
+            .collect();
+        let masked_injections = schedule.len() - active.len();
+        let mut campaign = run_jobs(&mitigated_dut, active, &effective, &Instrument::default())?;
 
         // Merge simulated and masked records back into schedule order.
-        let mut merged = Vec::with_capacity(jobs.len());
-        let mut simulated = outcome.records.iter();
-        for (i, (cell, fault)) in jobs.iter().enumerate() {
-            if is_masked[i] {
-                merged.push(InjectionRecord {
-                    cell: *cell,
-                    fault: *fault,
-                    soft_error: false,
-                    divergences: 0,
-                });
-            } else {
-                merged.push(simulated.next().expect("one record per active job").clone());
-            }
-        }
-        let mut campaign = outcome;
-        campaign.records = merged;
+        let mut simulated = std::mem::take(&mut campaign.records).into_iter();
+        campaign.records = schedule
+            .iter()
+            .zip(&is_masked)
+            .map(|(scheduled, &skipped)| {
+                if skipped {
+                    InjectionRecord {
+                        soft_error: false,
+                        divergences: 0,
+                        ..scheduled.clone()
+                    }
+                } else {
+                    simulated.next().expect("one record per active job")
+                }
+            })
+            .collect();
         let segments = segment_stats(mission, &campaign.records);
         let mission_outcome = MissionOutcome { campaign, segments };
         let ser_delta = baseline.ser() - mission_outcome.ser();

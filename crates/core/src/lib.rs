@@ -15,8 +15,11 @@
 //! 5. [`sensitivity`] — SVM training on structural features and fast
 //!    classification of every remaining node.
 //!
-//! The [`Ssresf`] facade runs the whole pipeline; substrates live in the
-//! companion crates `ssresf-netlist`, `ssresf-sim`, `ssresf-radiation`,
+//! Every campaign is a job list from [`campaign_jobs`] run by the one
+//! executor, [`run_injection_jobs_with_golden`]. The [`Ssresf`] facade
+//! runs the whole pipeline, sampling in one shot ([`Ssresf::analyze`]) or
+//! by active learning ([`Ssresf::analyze_active`]). Substrates live in
+//! the companion crates `ssresf-netlist`, `ssresf-sim`, `ssresf-radiation`,
 //! `ssresf-mlcore` and `ssresf-socgen`.
 //!
 //! # Example
@@ -56,9 +59,8 @@ pub mod workload;
 
 pub use active::{label_cells, ActiveAnalysis, ActiveLearningConfig, ActiveRound};
 pub use campaign::{
-    faults_for_cell, run_campaign, run_campaign_with, run_injection_jobs,
-    run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome, CampaignTelemetry,
-    CellErrorStats, InjectionRecord,
+    campaign_jobs, run_campaign_with, run_injection_jobs_with_golden, CampaignConfig,
+    CampaignOutcome, CampaignTelemetry, CellErrorStats, InjectionRecord,
 };
 pub use clustering::{
     cluster_cells, cluster_cells_reference, hier_distance, Clustering, ClusteringConfig,
@@ -71,10 +73,7 @@ pub use hardening::{
     run_differential_campaign, selective_harden, DifferentialOutcome, HardeningStrategy,
     MitigationKind, MitigationOutcome, MitigationPlan, SelectiveHardening,
 };
-pub use mission::{
-    environment_of, mission_faults_for_cell, run_mission_campaign, run_mission_campaign_with,
-    MissionOutcome, SegmentStats,
-};
+pub use mission::{run_mission_campaign_with, MissionOutcome, SegmentStats};
 pub use progress::{CampaignProgress, Instrument, ProgressPhase, ProgressSink, WorkerUtilization};
 pub use report::AnalysisSummary;
 pub use sampling::{sample_clusters, ClusterSample, SamplingConfig};
@@ -83,8 +82,7 @@ pub use sensitivity::{
 };
 pub use ser::{evaluate_ser, ClusterSer, SerEvaluation};
 pub use shard::{
-    campaign_jobs, merge_shard_outcomes, plan_shards, run_campaign_shard, run_sharded_campaign,
-    ShardOutcome,
+    merge_shard_outcomes, plan_shards, run_campaign_shard, run_sharded_campaign, ShardOutcome,
 };
 // Re-exported so downstream users can attach metrics without depending on
 // the telemetry crate directly.

@@ -2,31 +2,29 @@
 //! time-varying radiation environment.
 //!
 //! A [`MissionProfile`] partitions the exposure window into ordered
-//! segments, each with its own [`ParticleEnvironment`]
-//! (see `ssresf_radiation::mission`). [`run_mission_campaign_with`] drives
-//! the shared injection engine ([`run_injection_jobs`]) over the whole
-//! mission: each injection's strike cycle places it in a segment, and the
-//! SET pulse width is sampled at that segment's LET. The outcome carries a
-//! per-segment SER breakdown next to the ordinary campaign records.
+//! segments, each with its own
+//! [`ParticleEnvironment`](ssresf_radiation::ParticleEnvironment) (see
+//! `ssresf_radiation::mission`). [`run_mission_campaign_with`] drives the
+//! campaign executor over the whole mission: each injection's strike cycle
+//! places it in a segment, and the SET pulse width is sampled at that
+//! segment's LET. The outcome carries a per-segment SER breakdown next to
+//! the ordinary campaign records.
 //!
-//! Determinism discipline: fault generation keeps the exact per-cell RNG
-//! stream and draw order of the static campaign
-//! ([`faults_for_cell`](crate::campaign::faults_for_cell)), so a
-//! single-segment mission whose environment matches
+//! Determinism discipline: the job list comes from the crate's one fault
+//! generator, whose static form
+//! ([`campaign_jobs`](crate::campaign::campaign_jobs)) is the one-segment
+//! mission, so a single-segment mission whose environment matches
 //! [`CampaignConfig::environment`] is **bit-identical** to the static
 //! campaign — and mission records are byte-identical across thread counts
 //! and batch widths for the same reasons the static ones are.
 
-use crate::campaign::{run_injection_jobs, CampaignConfig, CampaignOutcome};
+use crate::campaign::{mission_jobs, run_jobs, CampaignConfig, CampaignOutcome};
 use crate::error::SsresfError;
 use crate::progress::Instrument;
 use crate::workload::{Dut, Workload};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use ssresf_netlist::CellId;
-use ssresf_radiation::{MissionProfile, ParticleEnvironment};
-use ssresf_sim::{Fault, SetFault, SeuFault};
+use ssresf_radiation::MissionProfile;
 
 /// Per-segment injection statistics of a mission campaign.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,50 +100,6 @@ impl MissionOutcome {
     }
 }
 
-/// Generates the mission faults for one cell.
-///
-/// Identical per-cell RNG stream and draw order as
-/// [`faults_for_cell`](crate::campaign::faults_for_cell): strike cycle
-/// first (uniform over the whole mission), then the sub-cycle offset, then
-/// — for combinational cells — one pulse-width draw at the LET of the
-/// segment the strike landed in. `sample_width` consumes exactly one draw
-/// regardless of LET, so segment boundaries never shift later draws.
-pub fn mission_faults_for_cell(
-    dut: &Dut<'_>,
-    cell: CellId,
-    config: &CampaignConfig,
-    mission: &MissionProfile,
-) -> Vec<Fault> {
-    let mut rng = StdRng::seed_from_u64(
-        config.seed ^ (0x9E37_79B9_7F4A_7C15u64.wrapping_mul(u64::from(cell.0) + 1)),
-    );
-    let info = dut.netlist().cell(cell);
-    let total = mission.total_cycles();
-    (0..config.injections_per_cell)
-        .map(|_| {
-            let cycle = rng.gen_range(0..total.max(1));
-            let offset = rng.gen::<f64>() * 0.999;
-            if info.kind.is_sequential() {
-                Fault::Seu(SeuFault {
-                    cell,
-                    cycle,
-                    offset,
-                })
-            } else {
-                let segment = &mission.segments[mission.segment_at(cycle)];
-                Fault::Set(SetFault {
-                    net: info.output,
-                    cycle,
-                    offset,
-                    width: config
-                        .pulse
-                        .sample_width(segment.environment.let_value, &mut rng),
-                })
-            }
-        })
-        .collect()
-}
-
 /// Buckets finished records into per-segment statistics.
 pub(crate) fn segment_stats(
     mission: &MissionProfile,
@@ -171,20 +125,6 @@ pub(crate) fn segment_stats(
         }
     }
     stats
-}
-
-/// [`run_mission_campaign_with`] without hooks.
-///
-/// # Errors
-///
-/// Propagates configuration and simulation failures.
-pub fn run_mission_campaign(
-    dut: &Dut<'_>,
-    cells: &[CellId],
-    config: &CampaignConfig,
-    mission: &MissionProfile,
-) -> Result<MissionOutcome, SsresfError> {
-    run_mission_campaign_with(dut, cells, config, mission, &Instrument::default())
 }
 
 /// Runs a fault-injection campaign over `cells` under a mission profile.
@@ -214,25 +154,8 @@ pub fn run_mission_campaign_with(
     mission
         .validate()
         .map_err(|e| SsresfError::Config(e.to_string()))?;
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
-    let effective = CampaignConfig {
-        workload: Workload {
-            reset_cycles: config.workload.reset_cycles,
-            run_cycles: mission.total_cycles(),
-        },
-        ..*config
-    };
-    let jobs: Vec<(CellId, Fault)> = cells
-        .iter()
-        .flat_map(|&cell| {
-            mission_faults_for_cell(dut, cell, config, mission)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect();
-    let campaign = run_injection_jobs(dut, jobs, &effective, hooks)?;
+    let jobs = mission_jobs(dut, cells, config, mission)?;
+    let campaign = run_jobs(dut, jobs, &mission_config(config, mission), hooks)?;
     let segments = segment_stats(mission, &campaign.records);
     if let Some(metrics) = hooks.metrics {
         record_mission_metrics(metrics, mission, &segments);
@@ -262,20 +185,25 @@ fn record_mission_metrics(
     }
 }
 
-/// Builds the [`ParticleEnvironment`] equivalent of a static campaign
-/// config's environment, for expressing existing configs as single-segment
-/// missions.
-pub fn environment_of(config: &CampaignConfig) -> ParticleEnvironment {
-    ParticleEnvironment::from_beam(config.environment)
+/// `config` with its workload stretched over the whole mission.
+pub(crate) fn mission_config(config: &CampaignConfig, mission: &MissionProfile) -> CampaignConfig {
+    CampaignConfig {
+        workload: Workload {
+            reset_cycles: config.workload.reset_cycles,
+            run_cycles: mission.total_cycles(),
+        },
+        ..*config
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::campaign::run_campaign;
+    use crate::campaign::run_campaign_with;
     use crate::workload::EngineKind;
     use ssresf_netlist::{CellKind, Design, FlatNetlist, ModuleBuilder, PortDir};
-    use ssresf_radiation::MissionSegment;
+    use ssresf_radiation::{MissionSegment, ParticleEnvironment};
+    use ssresf_sim::Fault;
 
     /// Counter + logic cloud: both sequential and combinational targets.
     fn mixed_netlist() -> FlatNetlist {
@@ -317,9 +245,13 @@ mod tests {
             injections_per_cell: 3,
             ..CampaignConfig::default()
         };
-        let static_outcome = run_campaign(&dut, &cells, &config).unwrap();
-        let mission = MissionProfile::single("static", 30, environment_of(&config)).unwrap();
-        let mission_outcome = run_mission_campaign(&dut, &cells, &config, &mission).unwrap();
+        let static_outcome =
+            run_campaign_with(&dut, &cells, &config, &Instrument::default()).unwrap();
+        let environment = ParticleEnvironment::from_beam(config.environment);
+        let mission = MissionProfile::single("static", 30, environment).unwrap();
+        let mission_outcome =
+            run_mission_campaign_with(&dut, &cells, &config, &mission, &Instrument::default())
+                .unwrap();
         assert_eq!(static_outcome.records, mission_outcome.campaign.records);
         assert_eq!(mission_outcome.segments.len(), 1);
         assert_eq!(
@@ -342,7 +274,9 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mission = MissionProfile::orbit_with_flare(25, 15).unwrap();
-        let outcome = run_mission_campaign(&dut, &cells, &config, &mission).unwrap();
+        let outcome =
+            run_mission_campaign_with(&dut, &cells, &config, &mission, &Instrument::default())
+                .unwrap();
         let injections: usize = outcome.segments.iter().map(|s| s.injections).sum();
         let errors: usize = outcome.segments.iter().map(|s| s.soft_errors).sum();
         assert_eq!(injections, outcome.campaign.records.len());
@@ -372,7 +306,7 @@ mod tests {
             ..CampaignConfig::default()
         };
         let mission = MissionProfile::orbit_with_flare(20, 12).unwrap();
-        let one = run_mission_campaign(
+        let one = run_mission_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
@@ -380,9 +314,10 @@ mod tests {
                 ..config
             },
             &mission,
+            &Instrument::default(),
         )
         .unwrap();
-        let four = run_mission_campaign(
+        let four = run_mission_campaign_with(
             &dut,
             &cells,
             &CampaignConfig {
@@ -390,6 +325,7 @@ mod tests {
                 ..config
             },
             &mission,
+            &Instrument::default(),
         )
         .unwrap();
         assert_eq!(one.campaign.records, four.campaign.records);
@@ -406,14 +342,14 @@ mod tests {
             segments: Vec::new(),
         };
         assert!(matches!(
-            run_mission_campaign(&dut, &cells, &config, &empty),
+            run_mission_campaign_with(&dut, &cells, &config, &empty, &Instrument::default()),
             Err(SsresfError::Config(_))
         ));
         let zero = MissionProfile {
             segments: vec![MissionSegment::new("z", 0, ParticleEnvironment::proton())],
         };
         assert!(matches!(
-            run_mission_campaign(&dut, &cells, &config, &zero),
+            run_mission_campaign_with(&dut, &cells, &config, &zero, &Instrument::default()),
             Err(SsresfError::Config(_))
         ));
     }
@@ -434,9 +370,9 @@ mod tests {
         ])
         .unwrap();
         let comb = flat.cell_by_name("u_and").unwrap();
-        let faults = mission_faults_for_cell(&dut, comb, &config, &mission);
+        let jobs = mission_jobs(&dut, &[comb], &config, &mission).unwrap();
         let mut widths: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
-        for fault in &faults {
+        for (_, fault) in &jobs {
             if let Fault::Set(f) = fault {
                 widths[usize::from(f.cycle >= 50)].push(f.width);
             }

@@ -3,10 +3,9 @@
 //! machines), and deterministically merge the shard outcomes back into one
 //! [`CampaignOutcome`].
 //!
-//! Fault generation is per-cell seeded ([`faults_for_cell`] derives each
-//! cell's RNG stream from the campaign seed and the cell id alone), so the
-//! full job list is a pure function of `(cells, config)` and every shard
-//! can regenerate it locally — a shard assignment is just `(shard,
+//! Fault generation is per-cell seeded, so the full job list
+//! ([`campaign_jobs`]) is a pure function of `(cells, config)` and every
+//! shard can regenerate it locally — a shard assignment is just `(shard,
 //! shard_count)`. Injections are mutually independent, so contiguous
 //! slicing plus concatenation reproduces the single-process record order
 //! exactly:
@@ -20,21 +19,22 @@
 //!   packing. Batched work totals depend on how faults pack into lanes,
 //!   which legitimately differs across shard counts.
 //!
-//! Each shard re-runs the golden reference itself (its cost is charged
-//! once by [`merge_shard_outcomes`], never per shard), which is what makes
-//! a shard self-contained enough to run in a separate process — see the
-//! `ssresf-serve` crate for the process-level coordinator built on top.
+//! Each shard obtains the golden reference itself — simulated, or looked
+//! up in an artifact cache by the `ssresf-serve` worker — and its cost is
+//! charged once by [`merge_shard_outcomes`], never per shard. That is what
+//! makes a shard self-contained enough to run in a separate process.
 
 use crate::campaign::{
-    faults_for_cell, run_injection_jobs_with_golden, CampaignConfig, CampaignOutcome,
+    campaign_jobs, run_injection_jobs_with_golden, simulate_golden, timed_golden, CampaignConfig,
+    CampaignOutcome,
 };
 use crate::error::SsresfError;
 use crate::progress::Instrument;
-use crate::workload::Dut;
+use crate::workload::{Dut, GoldenRun};
 use ssresf_netlist::CellId;
-use ssresf_sim::{EngineTelemetry, Fault};
+use ssresf_sim::EngineTelemetry;
 use std::ops::Range;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// One shard's result: the slice of the job list it covered plus the
 /// campaign outcome of exactly those jobs (golden cost excluded).
@@ -55,32 +55,6 @@ pub struct ShardOutcome {
     pub golden_engine: EngineTelemetry,
     /// Wall-clock time of the shard's own golden reference run.
     pub golden_time: Duration,
-}
-
-/// The full injection job list for `(cells, config)` — the list
-/// [`run_campaign_with`](crate::campaign::run_campaign_with) would
-/// execute, in the same order. Deterministic, so every shard can
-/// regenerate it locally.
-///
-/// # Errors
-///
-/// [`SsresfError::Config`] when `injections_per_cell` is 0.
-pub fn campaign_jobs(
-    dut: &Dut<'_>,
-    cells: &[CellId],
-    config: &CampaignConfig,
-) -> Result<Vec<(CellId, Fault)>, SsresfError> {
-    if config.injections_per_cell == 0 {
-        return Err(SsresfError::Config("injections_per_cell is 0".into()));
-    }
-    Ok(cells
-        .iter()
-        .flat_map(|&cell| {
-            faults_for_cell(dut, cell, config)
-                .into_iter()
-                .map(move |f| (cell, f))
-        })
-        .collect())
 }
 
 /// Splits `0..total` into `shard_count` contiguous near-equal ranges
@@ -106,39 +80,36 @@ pub fn plan_shards(total: usize, shard_count: usize) -> Vec<Range<usize>> {
 }
 
 /// Runs one shard of the campaign: regenerates the job list, takes the
-/// shard's contiguous slice, runs its own golden reference and simulates
-/// the slice. Hooks apply to this shard's execution (heartbeats report
-/// shard-local progress; the cancel flag aborts the shard).
+/// shard's contiguous slice, obtains the golden reference from `golden`
+/// (timed as the shard's `golden_time`) and executes the slice against it.
+/// Hooks apply to this shard's execution (heartbeats report shard-local
+/// progress; the cancel flag aborts the shard).
 ///
 /// # Errors
 ///
-/// Propagates configuration and simulation failures;
+/// Propagates configuration, golden-run and simulation failures;
 /// [`SsresfError::Config`] when `shard >= shard_count`.
-pub fn run_campaign_shard(
+pub fn run_campaign_shard<E: From<SsresfError>>(
     dut: &Dut<'_>,
     cells: &[CellId],
     config: &CampaignConfig,
     shard: usize,
     shard_count: usize,
+    golden: impl FnOnce() -> Result<GoldenRun, E>,
     hooks: &Instrument<'_>,
-) -> Result<ShardOutcome, SsresfError> {
+) -> Result<ShardOutcome, E> {
     if shard >= shard_count {
         return Err(SsresfError::Config(format!(
             "shard index {shard} out of range for {shard_count} shards"
-        )));
+        ))
+        .into());
     }
     let jobs = campaign_jobs(dut, cells, config)?;
     let range = plan_shards(jobs.len(), shard_count)
         .into_iter()
         .nth(shard)
         .expect("plan covers every shard index");
-    let golden_started = Instant::now();
-    let golden = dut.run_golden_with_checkpoints(
-        config.engine,
-        &config.workload,
-        config.checkpoint_interval,
-    )?;
-    let golden_time = golden_started.elapsed();
+    let (golden, golden_time) = timed_golden(config, hooks, golden)?;
     let outcome =
         run_injection_jobs_with_golden(dut, jobs[range.clone()].to_vec(), config, &golden, hooks)?;
     Ok(ShardOutcome {
@@ -200,37 +171,14 @@ pub fn merge_shard_outcomes(shards: &[ShardOutcome]) -> Result<CampaignOutcome, 
         }
     }
 
-    let mut merged = CampaignOutcome {
-        golden: first.outcome.golden.clone(),
-        golden_activity: first.outcome.golden_activity.clone(),
-        records: Vec::with_capacity(next_start),
-        simulation_time: Duration::ZERO,
-        // The golden reference is charged once, from the slowest shard
-        // (every shard ran it; in a process fleet they overlap).
-        golden_time: shards.iter().map(|s| s.golden_time).max().unwrap(),
-        total_work: first.golden_work,
-        telemetry: crate::campaign::CampaignTelemetry {
-            engine: first.golden_engine,
-            checkpoint_restores: 0,
-            early_stop_truncations: 0,
-            collapsed_faults: 0,
-            lane_refills: 0,
-        },
-    };
-    for shard in shards {
-        merged.records.extend(shard.outcome.records.iter().cloned());
-        merged.total_work += shard.outcome.total_work;
-        merged
-            .telemetry
-            .engine
-            .accumulate(shard.outcome.telemetry.engine);
-        merged.telemetry.checkpoint_restores += shard.outcome.telemetry.checkpoint_restores;
-        merged.telemetry.early_stop_truncations += shard.outcome.telemetry.early_stop_truncations;
-        merged.telemetry.collapsed_faults += shard.outcome.telemetry.collapsed_faults;
-        merged.telemetry.lane_refills += shard.outcome.telemetry.lane_refills;
-        merged.simulation_time += shard.outcome.simulation_time;
+    let mut merged = first.outcome.clone();
+    for shard in &shards[1..] {
+        merged.absorb(&shard.outcome);
     }
-    merged.simulation_time += merged.golden_time;
+    // Every shard obtained the golden run; in a process fleet they overlap,
+    // so its time is the slowest shard's.
+    let golden_time = shards.iter().map(|s| s.golden_time).max().unwrap();
+    merged.charge_golden(first.golden_work, first.golden_engine, golden_time, None);
     Ok(merged)
 }
 
@@ -250,7 +198,10 @@ pub fn run_sharded_campaign(
     hooks: &Instrument<'_>,
 ) -> Result<CampaignOutcome, SsresfError> {
     let shards = (0..shard_count)
-        .map(|s| run_campaign_shard(dut, cells, config, s, shard_count, hooks))
+        .map(|s| {
+            let golden = || simulate_golden(dut, config);
+            run_campaign_shard(dut, cells, config, s, shard_count, golden, hooks)
+        })
         .collect::<Result<Vec<_>, _>>()?;
     merge_shard_outcomes(&shards)
 }
@@ -388,7 +339,10 @@ mod tests {
         };
         let hooks = Instrument::default();
         let shards: Vec<ShardOutcome> = (0..2)
-            .map(|s| run_campaign_shard(&dut, &cells, &config, s, 2, &hooks).unwrap())
+            .map(|s| {
+                let golden = || simulate_golden(&dut, &config);
+                run_campaign_shard(&dut, &cells, &config, s, 2, golden, &hooks).unwrap()
+            })
             .collect();
         assert!(merge_shard_outcomes(&[]).is_err());
         assert!(merge_shard_outcomes(&shards[..1]).is_err());

@@ -272,7 +272,7 @@ impl SvmModel {
     }
 
     /// Predicts a batch across up to `threads` scoped worker threads
-    /// (0 = all cores). Output is identical to [`predict_batch`]
+    /// (0 = all cores). Output is identical to [`predict_batch`](Self::predict_batch)
     /// (and therefore to every other thread count).
     pub fn predict_batch_with(&self, rows: &[Vec<f64>], threads: usize) -> Vec<i8> {
         parallel_map(rows, threads, |_, row| self.predict(row))

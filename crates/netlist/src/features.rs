@@ -171,9 +171,10 @@ pub struct FeatureExtractor<'a> {
 /// so a finite distance can never collide with the sentinel.
 const UNOBSERVABLE: u32 = u32::MAX;
 
-/// Feature-space substitute for [`UNOBSERVABLE`]: dead-end cells enter
-/// scaling as this saturated depth, never as the raw `u32` sentinel (which
-/// would dwarf every other feature and wreck normalization).
+/// Feature-space substitute for the unobservable-depth sentinel: dead-end
+/// cells enter scaling as this saturated depth, never as the raw `u32`
+/// sentinel (which would dwarf every other feature and wreck
+/// normalization).
 pub const DEPTH_OBS_SATURATED: f64 = 64.0;
 
 /// Visited-cell cap for the transitive fan-in/fan-out cone features.

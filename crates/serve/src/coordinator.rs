@@ -2,8 +2,7 @@
 //! worker processes (or in-process), merges the results and memoizes the
 //! merged outcome in the artifact cache.
 //!
-//! Shards merge through
-//! [`merge_shard_outcomes`](ssresf::merge_shard_outcomes), so a sharded
+//! Shards merge through [`merge_shard_outcomes`], so a sharded
 //! run's records are byte-identical to a single-process
 //! [`run_campaign_with`](ssresf::run_campaign_with) — the conformance
 //! suite's check 10 asserts exactly that. A repeated job short-circuits on

@@ -13,14 +13,12 @@ use crate::codec::{golden_run_from_json, golden_run_to_json};
 use crate::frame::{read_frame, write_frame, Message};
 use crate::key::{golden_key, JobSpec};
 use ssresf::{
-    campaign_jobs, plan_shards, run_injection_jobs_with_golden, CampaignProgress, Dut, Instrument,
-    ProgressPhase, ProgressSink, ShardOutcome, SsresfError,
+    run_campaign_shard, CampaignProgress, Dut, Instrument, ProgressPhase, ProgressSink,
+    ShardOutcome, SsresfError,
 };
 use std::io::{Read, Write};
-use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// Why a shard did not produce an outcome.
 #[derive(Debug)]
@@ -51,8 +49,7 @@ impl From<SsresfError> for ShardError {
 }
 
 /// Runs one shard of `spec` in this process, using `cache` for the golden
-/// run when available. This is exactly
-/// [`run_campaign_shard`](ssresf::run_campaign_shard) plus golden
+/// run when available. This is [`run_campaign_shard`] with golden
 /// memoization: a cached golden run round-trips bit-exactly, so records
 /// (and in scalar mode, work and telemetry) are unchanged by a hit.
 ///
@@ -67,61 +64,40 @@ pub fn run_shard_local(
     cache: Option<&ArtifactCache<'_>>,
     hooks: &Instrument<'_>,
 ) -> Result<ShardOutcome, ShardError> {
-    if shard >= shard_count {
-        return Err(ShardError::Other(format!(
-            "shard index {shard} out of range for {shard_count} shards"
-        )));
-    }
     let flat = spec.netlist.build().map_err(ShardError::Other)?;
     let dut = Dut::from_conventions(&flat).map_err(ShardError::from)?;
-    let jobs = campaign_jobs(&dut, &spec.cells, &spec.config)?;
-    let range: Range<usize> = plan_shards(jobs.len(), shard_count)
-        .into_iter()
-        .nth(shard)
-        .expect("plan covers every shard index");
-
     let gkey = golden_key(flat.content_hash(), &spec.config).to_hex();
-    let golden_started = Instant::now();
-    let cached = cache
-        .and_then(|c| c.get(NS_GOLDEN, &gkey))
-        .and_then(|v| golden_run_from_json(&v).ok());
-    let golden = match cached {
-        Some(golden) => golden,
-        None => {
-            let golden = dut.run_golden_with_checkpoints(
-                spec.config.engine,
-                &spec.config.workload,
-                spec.config.checkpoint_interval,
-            )?;
-            if let Some(cache) = cache {
-                // Event-driven checkpoints are not serializable; skipping
-                // the put keeps them correct (recomputed every time).
-                if let Ok(artifact) = golden_run_to_json(&golden) {
-                    cache
-                        .put(NS_GOLDEN, &gkey, &artifact)
-                        .map_err(|e| ShardError::Other(e.to_string()))?;
-                }
-            }
-            golden
+    let golden = || {
+        let cached = cache.and_then(|c| c.get(NS_GOLDEN, &gkey));
+        if let Some(golden) = cached.and_then(|v| golden_run_from_json(&v).ok()) {
+            return Ok(golden);
         }
+        let config = &spec.config;
+        let golden = dut.run_golden_with_checkpoints(
+            config.engine,
+            &config.workload,
+            config.checkpoint_interval,
+        )?;
+        if let Some(cache) = cache {
+            // Event-driven checkpoints are not serializable; skipping
+            // the put keeps them correct (recomputed every time).
+            if let Ok(artifact) = golden_run_to_json(&golden) {
+                cache
+                    .put(NS_GOLDEN, &gkey, &artifact)
+                    .map_err(|e| ShardError::Other(e.to_string()))?;
+            }
+        }
+        Ok(golden)
     };
-    let golden_time = golden_started.elapsed();
-    let outcome = run_injection_jobs_with_golden(
+    run_campaign_shard(
         &dut,
-        jobs[range.clone()].to_vec(),
+        &spec.cells,
         &spec.config,
-        &golden,
-        hooks,
-    )?;
-    Ok(ShardOutcome {
         shard,
         shard_count,
-        jobs: range,
-        outcome,
-        golden_work: golden.outcome.work,
-        golden_engine: golden.outcome.engine,
-        golden_time,
-    })
+        golden,
+        hooks,
+    )
 }
 
 /// Forwards campaign progress as heartbeat frames on the shared output.

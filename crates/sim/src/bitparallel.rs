@@ -620,8 +620,8 @@ impl<'a, const W: usize> BitParallelEngine<'a, W> {
     /// Rewrites a retired fault lane with the golden lane's values so it
     /// can carry a fresh fault: copies lane 0 into `lane` for every net,
     /// state word and disturbance mask. The caller must have verified the
-    /// lane has re-converged (see [`diverged_lanes`]
-    /// (BitParallelEngine::diverged_lanes)) — the copy is then a no-op on
+    /// lane has re-converged (see [`diverged_lanes`](Self::diverged_lanes))
+    /// — the copy is then a no-op on
     /// the values and only resets bookkeeping drift.
     ///
     /// # Panics

@@ -7,7 +7,8 @@
 //! ```
 
 use ssresf::{
-    run_campaign, selective_harden, Dut, HardeningStrategy, Ssresf, SsresfConfig, Workload,
+    run_campaign_with, selective_harden, Dut, HardeningStrategy, Instrument, Ssresf, SsresfConfig,
+    Workload,
 };
 use ssresf_socgen::{build_soc, SocConfig};
 
@@ -44,7 +45,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ] {
         let result = selective_harden(&netlist, &analysis, 0.25, strategy)?;
         let dut = Dut::from_conventions(&result.netlist)?;
-        let outcome = run_campaign(&dut, &sampled, &framework.config().campaign)?;
+        let outcome = run_campaign_with(
+            &dut,
+            &sampled,
+            &framework.config().campaign,
+            &Instrument::default(),
+        )?;
         let ser = outcome.soft_errors() as f64 / outcome.records.len().max(1) as f64;
         let name = match strategy {
             HardeningStrategy::SvmGuided => "svm-guided",

@@ -6,7 +6,9 @@
 //! cargo run --release --example svm_speedup
 //! ```
 
-use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Ssresf, SsresfConfig, Workload};
+use ssresf::{
+    run_campaign_with, CampaignConfig, Dut, EngineKind, Instrument, Ssresf, SsresfConfig, Workload,
+};
 use ssresf_netlist::CellId;
 use ssresf_radiation::RadiationEnvironment;
 use ssresf_socgen::{build_soc, SocConfig};
@@ -55,24 +57,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ..CampaignConfig::default()
         };
         let t0 = Instant::now();
-        let ev = run_campaign(
+        let ev = run_campaign_with(
             &dut,
             &probe,
             &CampaignConfig {
                 engine: EngineKind::EventDriven,
                 ..base
             },
+            &Instrument::default(),
         )?;
         let event_time = t0.elapsed().as_secs_f64() * scale;
 
         let t1 = Instant::now();
-        let _lv = run_campaign(
+        let _lv = run_campaign_with(
             &dut,
             &probe,
             &CampaignConfig {
                 engine: EngineKind::Levelized,
                 ..base
             },
+            &Instrument::default(),
         )?;
         let level_time = t1.elapsed().as_secs_f64() * scale;
 

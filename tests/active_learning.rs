@@ -1,8 +1,13 @@
 //! Margin-driven active learning: budget savings, determinism across
 //! threads and repeat runs, and drop-in parity with the one-shot pipeline.
 
-use ssresf::{ActiveLearningConfig, Ssresf, SsresfConfig, Workload};
+use ssresf::{
+    campaign_jobs, run_campaign_with, run_injection_jobs_with_golden, ActiveLearningConfig, Dut,
+    Instrument, Ssresf, SsresfConfig, Workload,
+};
+use ssresf_netlist::CellId;
 use ssresf_socgen::{build_soc, SocConfig};
+use std::time::Duration;
 
 /// A reduced-budget configuration mirroring the end-to-end test's, so the
 /// active loop exercises every stage quickly in debug builds.
@@ -122,6 +127,51 @@ fn active_analysis_is_identical_across_thread_counts_and_repeats() {
             threaded.analysis.ser.chip_ser.to_bits()
         );
     }
+}
+
+#[test]
+fn both_pipelines_charge_the_work_the_executor_reports() {
+    let soc = build_soc(&SocConfig::table1()[0]).unwrap();
+    let netlist = soc.design.flatten().unwrap();
+    let framework = Ssresf::new(quick_config(soc.info.memory_scale_factor, 1));
+    let config = framework.config().campaign;
+    let dut = Dut::from_conventions(&netlist).unwrap();
+    let golden = dut
+        .run_golden_with_checkpoints(config.engine, &config.workload, config.checkpoint_interval)
+        .unwrap();
+    let injections_only = |cells: &[CellId]| {
+        let jobs = campaign_jobs(&dut, cells, &config).unwrap();
+        run_injection_jobs_with_golden(&dut, jobs, &config, &golden, &Instrument::default())
+            .unwrap()
+    };
+
+    // One-shot: exactly the standalone campaign over the sample, with the
+    // golden run charged once.
+    let analysis = framework.analyze(&netlist).unwrap();
+    let cells = analysis.sample.all_cells();
+    let standalone = run_campaign_with(&dut, &cells, &config, &Instrument::default()).unwrap();
+    assert_eq!(analysis.campaign.records, standalone.records);
+    assert_eq!(analysis.campaign.total_work, standalone.total_work);
+    assert_eq!(analysis.campaign.telemetry, standalone.telemetry);
+    assert_eq!(
+        analysis.campaign.total_work,
+        injections_only(&cells).total_work + golden.outcome.work
+    );
+
+    // Active learning: injections only, in injection order (the scalar
+    // engine's per-injection work does not depend on how rounds split).
+    let active = framework
+        .analyze_active(&netlist, &active_config())
+        .unwrap();
+    let campaign = &active.analysis.campaign;
+    assert_eq!(campaign.golden_time, Duration::ZERO);
+    let mut order: Vec<CellId> = campaign.records.iter().map(|r| r.cell).collect();
+    order.dedup();
+    assert_eq!(order.len(), active.injected_cells);
+    let replay = injections_only(&order);
+    assert_eq!(campaign.records, replay.records);
+    assert_eq!(campaign.total_work, replay.total_work);
+    assert_eq!(campaign.telemetry, replay.telemetry);
 }
 
 #[test]

@@ -11,7 +11,7 @@
 //!
 //! [`InjectionRecord`]: ssresf::InjectionRecord
 
-use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Workload};
+use ssresf::{run_campaign_with, CampaignConfig, Dut, EngineKind, Instrument, Workload};
 use ssresf_conformance::{cases, Scenario};
 use ssresf_netlist::CellId;
 
@@ -45,10 +45,10 @@ fn collapsing_and_retirement_preserve_records_across_widths() {
             batching: true,
             ..CampaignConfig::default()
         };
-        let baseline = run_campaign(&dut, &cells, &base)
+        let baseline = run_campaign_with(&dut, &cells, &base, &Instrument::default())
             .unwrap_or_else(|e| panic!("seed {seed}: baseline 64-lane run failed: {e}"));
         for batch_lanes in ssresf_sim::SUPPORTED_LANE_COUNTS {
-            let fast = run_campaign(
+            let fast = run_campaign_with(
                 &dut,
                 &cells,
                 &CampaignConfig {
@@ -57,6 +57,7 @@ fn collapsing_and_retirement_preserve_records_across_widths() {
                     lane_refill: true,
                     ..base
                 },
+                &Instrument::default(),
             )
             .unwrap_or_else(|e| {
                 panic!("seed {seed}: collapse+refill run at {batch_lanes} lanes failed: {e}")

@@ -2,7 +2,7 @@
 //! and levelized (CVC stand-in) engines must agree on golden workloads and
 //! on SEU verdicts, mirroring the paper's dual-simulator methodology.
 
-use ssresf::{run_campaign, CampaignConfig, Dut, EngineKind, Workload};
+use ssresf::{run_campaign_with, CampaignConfig, Dut, EngineKind, Instrument, Workload};
 use ssresf_netlist::CellId;
 use ssresf_sim::{Fault, SeuFault};
 use ssresf_socgen::{build_soc, SocConfig};
@@ -55,22 +55,24 @@ fn engines_agree_on_seu_campaign_verdicts() {
         workload: workload(),
         ..CampaignConfig::default()
     };
-    let ev = run_campaign(
+    let ev = run_campaign_with(
         &dut,
         &ffs,
         &CampaignConfig {
             engine: EngineKind::EventDriven,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
-    let lv = run_campaign(
+    let lv = run_campaign_with(
         &dut,
         &ffs,
         &CampaignConfig {
             engine: EngineKind::Levelized,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
     for (a, b) in ev.records.iter().zip(&lv.records) {
@@ -146,16 +148,17 @@ fn checkpointed_campaign_records_are_bit_identical_and_cheaper() {
         workload: workload(),
         ..CampaignConfig::default()
     };
-    let scratch = run_campaign(
+    let scratch = run_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
             checkpoint_interval: 0,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
-    let fast = run_campaign(
+    let fast = run_campaign_with(
         &dut,
         &cells,
         &CampaignConfig {
@@ -163,6 +166,7 @@ fn checkpointed_campaign_records_are_bit_identical_and_cheaper() {
             early_stop: true,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
     assert_eq!(scratch.records, fast.records);
@@ -194,22 +198,24 @@ fn levelized_set_verdicts_are_pessimistic_relative_to_event_driven() {
         workload: workload(),
         ..CampaignConfig::default()
     };
-    let ev = run_campaign(
+    let ev = run_campaign_with(
         &dut,
         &combs,
         &CampaignConfig {
             engine: EngineKind::EventDriven,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
-    let lv = run_campaign(
+    let lv = run_campaign_with(
         &dut,
         &combs,
         &CampaignConfig {
             engine: EngineKind::Levelized,
             ..base
         },
+        &Instrument::default(),
     )
     .unwrap();
     assert!(

@@ -4,8 +4,9 @@
 //! mitigation buys at an exactly-accounted area cost.
 
 use ssresf::{
-    run_campaign, run_differential_campaign, selective_harden, CampaignConfig, Dut, EngineKind,
-    HardeningStrategy, Instrument, MitigationKind, MitigationPlan, Ssresf, SsresfConfig, Workload,
+    run_campaign_with, run_differential_campaign, selective_harden, CampaignConfig, Dut,
+    EngineKind, HardeningStrategy, Instrument, MitigationKind, MitigationPlan, Ssresf,
+    SsresfConfig, Workload,
 };
 use ssresf_netlist::harden::sequential_only;
 use ssresf_netlist::{CellId, CellKind, Design, ModuleBuilder, PortDir};
@@ -246,7 +247,13 @@ fn guided_hardening_reduces_measured_ser() {
         workload: workload(),
         ..framework.config().campaign
     };
-    let outcome = run_campaign(&dut, &analysis.sample.all_cells(), &campaign).unwrap();
+    let outcome = run_campaign_with(
+        &dut,
+        &analysis.sample.all_cells(),
+        &campaign,
+        &Instrument::default(),
+    )
+    .unwrap();
     assert!(
         outcome.soft_errors() < baseline_errors,
         "hardening did not reduce soft errors: {} -> {}",

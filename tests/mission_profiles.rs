@@ -9,9 +9,9 @@
 //! within f64 tolerance. Case counts honor the `PROPTEST_CASES`
 //! environment variable.
 
-use ssresf::mission::environment_of;
 use ssresf::{
-    run_campaign, run_mission_campaign, CampaignConfig, Dut, EngineKind, SsresfError, Workload,
+    run_campaign_with, run_mission_campaign_with, CampaignConfig, Dut, EngineKind, Instrument,
+    SsresfError, Workload,
 };
 use ssresf_conformance::{cases, Scenario};
 use ssresf_netlist::CellId;
@@ -57,13 +57,19 @@ fn mission_records_are_deterministic_across_threads_and_batch_widths() {
             checkpoint_interval: scenario.checkpoint_interval,
             ..CampaignConfig::default()
         };
-        let reference = run_mission_campaign(&dut, &cells, &base, &mission)
-            .unwrap_or_else(|e| panic!("seed {seed}: reference mission run failed: {e}"));
+        let reference =
+            run_mission_campaign_with(&dut, &cells, &base, &mission, &Instrument::default())
+                .unwrap_or_else(|e| panic!("seed {seed}: reference mission run failed: {e}"));
         // Thread counts must not reorder or change records.
         for threads in [2, 4] {
-            let threaded =
-                run_mission_campaign(&dut, &cells, &CampaignConfig { threads, ..base }, &mission)
-                    .unwrap_or_else(|e| panic!("seed {seed}: {threads}-thread run failed: {e}"));
+            let threaded = run_mission_campaign_with(
+                &dut,
+                &cells,
+                &CampaignConfig { threads, ..base },
+                &mission,
+                &Instrument::default(),
+            )
+            .unwrap_or_else(|e| panic!("seed {seed}: {threads}-thread run failed: {e}"));
             assert_eq!(
                 reference.campaign.records, threaded.campaign.records,
                 "seed {seed}: records diverge at {threads} threads"
@@ -72,7 +78,7 @@ fn mission_records_are_deterministic_across_threads_and_batch_widths() {
         }
         // Batched lane widths (with the full fast path) must agree too.
         for batch_lanes in ssresf_sim::SUPPORTED_LANE_COUNTS {
-            let batched = run_mission_campaign(
+            let batched = run_mission_campaign_with(
                 &dut,
                 &cells,
                 &CampaignConfig {
@@ -84,6 +90,7 @@ fn mission_records_are_deterministic_across_threads_and_batch_widths() {
                     ..base
                 },
                 &mission,
+                &Instrument::default(),
             )
             .unwrap_or_else(|e| {
                 panic!("seed {seed}: batched mission run at {batch_lanes} lanes failed: {e}")
@@ -119,12 +126,13 @@ fn single_segment_mission_is_bit_identical_to_static_campaign() {
             },
             ..CampaignConfig::default()
         };
-        let static_outcome = run_campaign(&dut, &cells, &config)
+        let static_outcome = run_campaign_with(&dut, &cells, &config, &Instrument::default())
             .unwrap_or_else(|e| panic!("seed {seed}: static campaign failed: {e}"));
-        let mission =
-            MissionProfile::single("static", scenario.run_cycles, environment_of(&config)).unwrap();
-        let mission_outcome = run_mission_campaign(&dut, &cells, &config, &mission)
-            .unwrap_or_else(|e| panic!("seed {seed}: mission campaign failed: {e}"));
+        let environment = ParticleEnvironment::from_beam(config.environment);
+        let mission = MissionProfile::single("static", scenario.run_cycles, environment).unwrap();
+        let mission_outcome =
+            run_mission_campaign_with(&dut, &cells, &config, &mission, &Instrument::default())
+                .unwrap_or_else(|e| panic!("seed {seed}: mission campaign failed: {e}"));
         assert_eq!(
             static_outcome.records, mission_outcome.campaign.records,
             "seed {seed}: single-segment mission is not bit-identical to the static campaign"
@@ -154,8 +162,9 @@ fn segment_ser_totals_sum_to_mission_ser() {
             ..CampaignConfig::default()
         };
         let mission = scenario_mission(&scenario);
-        let outcome = run_mission_campaign(&dut, &cells, &config, &mission)
-            .unwrap_or_else(|e| panic!("seed {seed}: mission campaign failed: {e}"));
+        let outcome =
+            run_mission_campaign_with(&dut, &cells, &config, &mission, &Instrument::default())
+                .unwrap_or_else(|e| panic!("seed {seed}: mission campaign failed: {e}"));
         let injections: usize = outcome.segments.iter().map(|s| s.injections).sum();
         let errors: usize = outcome.segments.iter().map(|s| s.soft_errors).sum();
         assert_eq!(injections, outcome.campaign.records.len(), "seed {seed}");
@@ -222,6 +231,13 @@ fn invalid_mission_profiles_are_rejected_per_field() {
             ParticleEnvironment::proton(),
         )],
     };
-    let err = run_mission_campaign(&dut, &cells, &CampaignConfig::default(), &profile).unwrap_err();
+    let err = run_mission_campaign_with(
+        &dut,
+        &cells,
+        &CampaignConfig::default(),
+        &profile,
+        &Instrument::default(),
+    )
+    .unwrap_err();
     assert!(matches!(err, SsresfError::Config(_)), "{err}");
 }

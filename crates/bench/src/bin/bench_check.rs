@@ -138,9 +138,8 @@ fn load_metric(dir: &Path, file: &str, key: &str) -> Result<f64, String> {
     let value =
         ssresf_json::parse(&text).map_err(|e| format!("cannot parse {}: {e:?}", path.display()))?;
     value
-        .get(key)
-        .and_then(ssresf_json::Value::as_f64)
-        .ok_or_else(|| format!("{}: missing numeric key {key:?}", path.display()))
+        .f64_field(key)
+        .map_err(|e| format!("{}: {e}", path.display()))
 }
 
 fn main() -> ExitCode {

@@ -139,71 +139,42 @@ impl AnalysisSummary {
     /// Returns the underlying decode error message.
     pub fn from_json(text: &str) -> Result<Self, String> {
         let doc = json::parse(text).map_err(|e| e.to_string())?;
-        let num = |name: &str| {
-            doc.get(name)
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| format!("missing numeric field \"{name}\""))
-        };
-        let count = |name: &str| {
-            doc.get(name)
-                .and_then(json::Value::as_usize)
-                .ok_or_else(|| format!("missing integer field \"{name}\""))
-        };
-        let cluster_sizes = doc
-            .get("cluster_sizes")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| "missing \"cluster_sizes\"".to_owned())?
-            .iter()
-            .map(|v| v.as_usize().ok_or_else(|| "bad cluster size".to_owned()))
-            .collect::<Result<Vec<_>, _>>()?;
         let mut ser_per_class = BTreeMap::new();
-        for (class, v) in doc
-            .get("ser_per_class")
-            .and_then(json::Value::as_object)
-            .ok_or_else(|| "missing \"ser_per_class\"".to_owned())?
-        {
+        for (class, v) in doc.object_field("ser_per_class")? {
             let ser = v
                 .as_f64()
                 .ok_or_else(|| format!("bad SER for class \"{class}\""))?;
             ser_per_class.insert(class.clone(), ser);
         }
         let mut predicted_per_class = BTreeMap::new();
-        for (class, v) in doc
-            .get("predicted_per_class")
-            .and_then(json::Value::as_object)
-            .ok_or_else(|| "missing \"predicted_per_class\"".to_owned())?
-        {
-            let pair = (
-                v.at(0).and_then(json::Value::as_usize),
-                v.at(1).and_then(json::Value::as_usize),
-            );
-            let (Some(high), Some(total)) = pair else {
+        for (class, v) in doc.object_field("predicted_per_class")? {
+            let Some(&[high, total]) = v.as_ints::<usize>().as_deref() else {
                 return Err(format!("bad predicted counts for class \"{class}\""));
             };
             predicted_per_class.insert(class.clone(), (high, total));
         }
         Ok(AnalysisSummary {
-            cells: count("cells")?,
-            clusters: count("clusters")?,
-            cluster_sizes,
-            sampled: count("sampled")?,
-            injections: count("injections")?,
-            soft_errors: count("soft_errors")?,
-            chip_ser: num("chip_ser")?,
+            cells: doc.int_field("cells")?,
+            clusters: doc.int_field("clusters")?,
+            cluster_sizes: doc.ints_field("cluster_sizes")?,
+            sampled: doc.int_field("sampled")?,
+            injections: doc.int_field("injections")?,
+            soft_errors: doc.int_field("soft_errors")?,
+            chip_ser: doc.f64_field("chip_ser")?,
             ser_per_class,
-            tnr: num("tnr")?,
-            tpr: num("tpr")?,
-            precision: num("precision")?,
-            accuracy: num("accuracy")?,
-            f1: num("f1")?,
-            auc: num("auc")?,
+            tnr: doc.f64_field("tnr")?,
+            tpr: doc.f64_field("tpr")?,
+            precision: doc.f64_field("precision")?,
+            accuracy: doc.f64_field("accuracy")?,
+            f1: doc.f64_field("f1")?,
+            auc: doc.f64_field("auc")?,
             predicted_per_class,
-            seu_xsect_cm2: num("seu_xsect_cm2")?,
-            set_xsect_cm2: num("set_xsect_cm2")?,
-            simulation_s: num("simulation_s")?,
-            training_s: num("training_s")?,
-            prediction_s: num("prediction_s")?,
-            speedup: num("speedup")?,
+            seu_xsect_cm2: doc.f64_field("seu_xsect_cm2")?,
+            set_xsect_cm2: doc.f64_field("set_xsect_cm2")?,
+            simulation_s: doc.f64_field("simulation_s")?,
+            training_s: doc.f64_field("training_s")?,
+            prediction_s: doc.f64_field("prediction_s")?,
+            speedup: doc.f64_field("speedup")?,
         })
     }
 }

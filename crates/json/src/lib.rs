@@ -6,6 +6,12 @@
 //! printed with Rust's shortest round-trip formatting, so
 //! `parse(&v.to_string_pretty())` reproduces every finite double exactly.
 //! Objects preserve insertion order.
+//!
+//! Decoders read object members through the `*_field` accessors on
+//! [`Value`], which range-check them (integers through `TryFrom<u64>`) and
+//! report a bad one as a [`FieldError`] naming the key, built on failure only.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use std::fmt;
 
@@ -53,23 +59,28 @@ impl Value {
         }
     }
 
-    /// The number as a usize, when it is one exactly (no fraction, in range).
-    pub fn as_usize(&self) -> Option<usize> {
-        match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= usize::MAX as f64 => {
-                Some(*n as usize)
+    /// The number as an integer of type `T`, when it is one exactly: no
+    /// fraction, not negative, below 2^64 and in `T`'s range.
+    pub fn as_int<T: TryFrom<u64>>(&self) -> Option<T> {
+        match *self {
+            // `u64::MAX as f64` rounds up to 2^64, the first double past u64.
+            Value::Number(n) if n.fract() == 0.0 && (0.0..u64::MAX as f64).contains(&n) =>
+            {
+                #[allow(clippy::cast_possible_truncation, reason = "n is integral and < 2^64")]
+                T::try_from(n as u64).ok()
             }
             _ => None,
         }
     }
 
+    /// The number as a usize, when it is one exactly (no fraction, in range).
+    pub fn as_usize(&self) -> Option<usize> {
+        self.as_int()
+    }
+
+    /// The number as a u64, when it is one exactly (no fraction, in range).
     pub fn as_u64(&self) -> Option<u64> {
-        match self {
-            Value::Number(n) if n.fract() == 0.0 && *n >= 0.0 && *n <= u64::MAX as f64 => {
-                Some(*n as u64)
-            }
-            _ => None,
-        }
+        self.as_int()
     }
 
     pub fn as_str(&self) -> Option<&str> {
@@ -91,6 +102,90 @@ impl Value {
             Value::Object(members) => Some(members),
             _ => None,
         }
+    }
+
+    /// The array as numbers, when every element is one.
+    pub fn as_f64s(&self) -> Option<Vec<f64>> {
+        self.as_array()?.iter().map(Value::as_f64).collect()
+    }
+
+    /// The array as integers of type `T` (see [`as_int`](Value::as_int)).
+    pub fn as_ints<T: TryFrom<u64>>(&self) -> Option<Vec<T>> {
+        self.as_array()?.iter().map(Value::as_int).collect()
+    }
+
+    /// Reads member `key` through `read`, naming the key and `expected` in
+    /// the error when it is missing or `read` rejects it.
+    fn typed<'a, T>(
+        &'a self,
+        key: &str,
+        expected: &'static str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, FieldError> {
+        let member = self.get(key);
+        member.and_then(read).ok_or_else(|| FieldError {
+            key: key.to_owned(),
+            expected,
+            missing: member.is_none(),
+        })
+    }
+
+    /// Member `key` of an object. Like every `*_field` accessor below, it
+    /// returns a [`FieldError`] naming the key when the key is absent (or
+    /// `self` is no object) or its member has the wrong type.
+    pub fn field(&self, key: &str) -> Result<&Value, FieldError> {
+        self.typed(key, "a value", Some)
+    }
+
+    /// Member `key` as an exact integer of type `T` (`u64` counters, `u32`
+    /// ids, `u16` operands, `usize` sizes); see [`as_int`](Value::as_int).
+    pub fn int_field<T: TryFrom<u64>>(&self, key: &str) -> Result<T, FieldError> {
+        self.typed(key, std::any::type_name::<T>(), Value::as_int)
+    }
+
+    /// Member `key` as a number.
+    pub fn f64_field(&self, key: &str) -> Result<f64, FieldError> {
+        self.typed(key, "a number", Value::as_f64)
+    }
+
+    /// Member `key` as a bool.
+    pub fn bool_field(&self, key: &str) -> Result<bool, FieldError> {
+        self.typed(key, "a bool", Value::as_bool)
+    }
+
+    /// Member `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, FieldError> {
+        self.typed(key, "a string", Value::as_str)
+    }
+
+    /// Member `key` as an array.
+    pub fn array_field(&self, key: &str) -> Result<&[Value], FieldError> {
+        self.typed(key, "an array", Value::as_array)
+    }
+
+    /// Member `key` as an object's members.
+    pub fn object_field(&self, key: &str) -> Result<&[(String, Value)], FieldError> {
+        self.typed(key, "an object", Value::as_object)
+    }
+
+    /// Member `key` as an array of numbers.
+    pub fn f64s_field(&self, key: &str) -> Result<Vec<f64>, FieldError> {
+        self.typed(key, "an array of numbers", Value::as_f64s)
+    }
+
+    /// Member `key` as an array of exact integers of type `T`.
+    pub fn ints_field<T: TryFrom<u64>>(&self, key: &str) -> Result<Vec<T>, FieldError> {
+        self.typed(key, "an array of in-range integers", Value::as_ints)
+    }
+
+    /// `None` when member `key` is absent, else the member read by `read`,
+    /// one of the accessors above: a mistyped optional member is an error.
+    pub fn optional<'a, T>(
+        &'a self,
+        key: &str,
+        read: impl FnOnce(&'a Value, &str) -> Result<T, FieldError>,
+    ) -> Result<Option<T>, FieldError> {
+        self.get(key).map(|_| read(self, key)).transpose()
     }
 
     /// Serializes with 2-space indentation and a trailing-newline-free body.
@@ -144,6 +239,12 @@ impl From<u32> for Value {
     }
 }
 
+impl From<u16> for Value {
+    fn from(n: u16) -> Self {
+        Value::Number(f64::from(n))
+    }
+}
+
 impl From<&str> for Value {
     fn from(s: &str) -> Self {
         Value::String(s.to_owned())
@@ -159,6 +260,13 @@ impl From<String> for Value {
 impl<T: Into<Value>> From<Vec<T>> for Value {
     fn from(items: Vec<T>) -> Self {
         Value::Array(items.into_iter().map(Into::into).collect())
+    }
+}
+
+/// Encodes a slice (`&[f64]`, `&[u64]`, ...) as an array.
+impl<T: Copy + Into<Value>> From<&[T]> for Value {
+    fn from(items: &[T]) -> Self {
+        Value::Array(items.iter().map(|&item| item.into()).collect())
     }
 }
 
@@ -277,6 +385,36 @@ impl fmt::Display for JsonError {
 }
 
 impl std::error::Error for JsonError {}
+
+/// An object member that is missing or does not hold the expected type,
+/// returned by the `*_field` accessors of [`Value`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FieldError {
+    /// The offending key.
+    pub key: String,
+    /// What the member should hold (`"a number"`, `"u32"`, ...).
+    pub expected: &'static str,
+    /// Whether the key is absent, rather than holding the wrong type.
+    pub missing: bool,
+}
+
+impl fmt::Display for FieldError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.missing {
+            write!(f, "missing key {:?} (expected {})", self.key, self.expected)
+        } else {
+            write!(f, "key {:?}: expected {}", self.key, self.expected)
+        }
+    }
+}
+
+impl std::error::Error for FieldError {}
+
+impl From<FieldError> for String {
+    fn from(e: FieldError) -> String {
+        e.to_string()
+    }
+}
 
 /// Nesting depth cap: deeper documents are rejected rather than allowed to
 /// exhaust the parser's stack (the conformance fuzzer feeds this parser).
@@ -537,9 +675,13 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .expect("number bytes are ASCII by construction");
+        // Rust's f64 parse saturates overflow to infinity instead of failing,
+        // and a non-finite number would print back as `null`.
         text.parse::<f64>()
+            .ok()
+            .filter(|n| n.is_finite())
             .map(Value::Number)
-            .map_err(|_| self.error("number out of range"))
+            .ok_or_else(|| self.error("number out of range"))
     }
 }
 
@@ -649,6 +791,51 @@ mod tests {
         assert_eq!(err.line, 2);
         assert!(err.column > 1);
         assert!(err.to_string().contains("line 2"));
+    }
+
+    #[test]
+    fn overflowing_numbers_are_rejected_not_saturated() {
+        for text in ["1e999", "-1e999", "[1, 2e400]"] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains("out of range"), "{text}: {err}");
+        }
+        assert_eq!(parse("1e308").unwrap(), Value::Number(1e308));
+    }
+
+    #[test]
+    fn integers_are_exact_below_two_to_the_64() {
+        // 2^64 is the first double past u64::MAX; it used to saturate.
+        assert_eq!(parse("18446744073709551616").unwrap().as_u64(), None);
+        assert_eq!(parse("18446744073709551616").unwrap().as_usize(), None);
+        let largest = 18_446_744_073_709_549_568u64; // 2^64 - 2048
+        assert_eq!(Value::from(largest).as_u64(), Some(largest));
+        for bad in ["-1", "1.5", "1e300", "\"7\""] {
+            assert_eq!(parse(bad).unwrap().as_u64(), None, "{bad}");
+        }
+        assert_eq!(Value::Number(-0.0).as_u64(), Some(0));
+    }
+
+    #[test]
+    fn field_accessors_range_check_and_name_the_key() {
+        let v = parse(r#"{"id": 4294967303, "op": 70000, "x": 1.5, "ok": true, "xs": [1, 2]}"#)
+            .unwrap();
+        assert_eq!(v.int_field::<u64>("id"), Ok(4_294_967_303));
+        let err = v.int_field::<u32>("id").unwrap_err();
+        assert_eq!((err.key.as_str(), err.missing), ("id", false));
+        assert_eq!(err.to_string(), r#"key "id": expected u32"#);
+        assert!(v.int_field::<u16>("op").is_err());
+        assert_eq!(v.f64_field("x"), Ok(1.5));
+        assert_eq!(v.bool_field("ok"), Ok(true));
+        assert_eq!(v.ints_field::<u16>("xs"), Ok(vec![1, 2]));
+        assert_eq!(v.f64s_field("xs"), Ok(vec![1.0, 2.0]));
+        assert!(v.str_field("x").is_err() && v.array_field("ok").is_err());
+        let missing = v.f64_field("nope").unwrap_err();
+        assert!(missing.missing);
+        assert_eq!(
+            String::from(missing),
+            r#"missing key "nope" (expected a number)"#
+        );
+        assert!(Value::Null.field("id").is_err());
     }
 
     #[test]

@@ -197,32 +197,49 @@ impl SvmModel {
                 support_coeff.push(alpha[i] * y[i]);
             }
         }
-        let support_norms: Vec<f64> = support_x
+        Ok(SvmModel::assemble(
+            support_x,
+            support_coeff,
+            data.width(),
+            bias,
+            params.kernel,
+            stats,
+        ))
+    }
+
+    /// Builds a model from its learned parameters, precomputing the
+    /// support-vector norms and, for a linear kernel, the collapsed
+    /// `width`-long weight vector.
+    fn assemble(
+        support_x: Vec<Vec<f64>>,
+        support_coeff: Vec<f64>,
+        width: usize,
+        bias: f64,
+        kernel: Kernel,
+        stats: TrainStats,
+    ) -> Self {
+        let support_norms = support_x
             .iter()
             .map(|sv| sv.iter().map(|v| v * v).sum())
             .collect();
-        let linear_w = match params.kernel {
-            Kernel::Linear => {
-                let width = data.width();
-                let mut w = vec![0.0f64; width];
-                for (sv, &coeff) in support_x.iter().zip(&support_coeff) {
-                    for (wk, &vk) in w.iter_mut().zip(sv) {
-                        *wk += coeff * vk;
-                    }
+        let linear_w = matches!(kernel, Kernel::Linear).then(|| {
+            let mut w = vec![0.0f64; width];
+            for (sv, &coeff) in support_x.iter().zip(&support_coeff) {
+                for (wk, &vk) in w.iter_mut().zip(sv) {
+                    *wk += coeff * vk;
                 }
-                Some(w)
             }
-            _ => None,
-        };
-        Ok(SvmModel {
+            w
+        });
+        SvmModel {
             support_x,
             support_coeff,
             support_norms,
             linear_w,
             bias,
-            kernel: params.kernel,
+            kernel,
             stats,
-        })
+        }
     }
 
     /// Signed decision value for one sample (positive ⇒ class +1).
@@ -307,7 +324,6 @@ impl SvmModel {
     /// never disagree with its own support expansion.
     pub fn to_json(&self) -> ssresf_json::Value {
         use ssresf_json::Value;
-        let floats = |v: &[f64]| Value::Array(v.iter().map(|&f| Value::from(f)).collect());
         let kernel = match self.kernel {
             Kernel::Linear => ssresf_json::object([("kind", Value::from("linear"))]),
             Kernel::Rbf { gamma } => {
@@ -333,9 +349,9 @@ impl SvmModel {
         ssresf_json::object([
             (
                 "support_x",
-                Value::Array(self.support_x.iter().map(|sv| floats(sv)).collect()),
+                Value::Array(self.support_x.iter().map(|sv| sv[..].into()).collect()),
             ),
-            ("support_coeff", floats(&self.support_coeff)),
+            ("support_coeff", Value::from(&self.support_coeff[..])),
             ("bias", Value::from(self.bias)),
             ("kernel", kernel),
             ("width", Value::from(width as u64)),
@@ -365,97 +381,53 @@ impl SvmModel {
     ///
     /// # Errors
     ///
-    /// Returns a description when the value is structurally invalid.
+    /// Returns a description naming the offending key when the value is
+    /// structurally invalid, a poly degree exceeds `u32`, or a support
+    /// vector's length differs from `width`.
     pub fn from_json(value: &ssresf_json::Value) -> Result<Self, String> {
-        use ssresf_json::Value;
-        let get = |key: &str| value.get(key).ok_or_else(|| format!("missing key {key:?}"));
-        let floats = |v: &Value, what: &str| -> Result<Vec<f64>, String> {
-            v.as_array()
-                .ok_or_else(|| format!("{what} must be an array"))?
-                .iter()
-                .map(|f| {
-                    f.as_f64()
-                        .ok_or_else(|| format!("{what} holds a non-number"))
-                })
-                .collect()
-        };
-        let u64_of = |v: &Value, what: &str| -> Result<u64, String> {
-            v.as_u64()
-                .ok_or_else(|| format!("{what} is not an exact u64"))
-        };
-        let support_x = get("support_x")?
-            .as_array()
-            .ok_or("support_x must be an array")?
+        let support_x = value
+            .array_field("support_x")?
             .iter()
-            .map(|sv| floats(sv, "support vector"))
-            .collect::<Result<Vec<_>, _>>()?;
-        let support_coeff = floats(get("support_coeff")?, "support_coeff")?;
+            .map(ssresf_json::Value::as_f64s)
+            .collect::<Option<Vec<_>>>()
+            .ok_or("key \"support_x\": expected arrays of numbers")?;
+        let support_coeff = value.f64s_field("support_coeff")?;
         if support_x.len() != support_coeff.len() {
             return Err("support_x and support_coeff lengths differ".into());
         }
-        let kernel_value = get("kernel")?;
-        let gamma_of = || -> Result<f64, String> {
-            kernel_value
-                .get("gamma")
-                .and_then(Value::as_f64)
-                .ok_or_else(|| "kernel gamma missing".into())
-        };
-        let kernel = match kernel_value.get("kind").and_then(Value::as_str) {
-            Some("linear") => Kernel::Linear,
-            Some("rbf") => Kernel::Rbf { gamma: gamma_of()? },
-            Some("poly") => Kernel::Poly {
-                gamma: gamma_of()?,
-                coef0: kernel_value
-                    .get("coef0")
-                    .and_then(Value::as_f64)
-                    .ok_or("kernel coef0 missing")?,
-                degree: kernel_value
-                    .get("degree")
-                    .and_then(Value::as_u64)
-                    .ok_or("kernel degree missing")? as u32,
+        let kernel_value = value.field("kernel")?;
+        let kernel = match kernel_value.str_field("kind")? {
+            "linear" => Kernel::Linear,
+            "rbf" => Kernel::Rbf {
+                gamma: kernel_value.f64_field("gamma")?,
+            },
+            "poly" => Kernel::Poly {
+                gamma: kernel_value.f64_field("gamma")?,
+                coef0: kernel_value.f64_field("coef0")?,
+                degree: kernel_value.int_field("degree")?,
             },
             other => return Err(format!("unknown kernel kind {other:?}")),
         };
-        let width = u64_of(get("width")?, "width")? as usize;
-        let stats_value = get("stats")?;
-        let stat = |key: &str| -> Result<u64, String> {
-            stats_value
-                .get(key)
-                .and_then(Value::as_u64)
-                .ok_or_else(|| format!("stats key {key:?} missing"))
-        };
+        let width: usize = value.int_field("width")?;
+        if support_x.iter().any(|sv| sv.len() != width) {
+            return Err("key \"width\" differs from the support-vector length".into());
+        }
+        let stats_value = value.field("stats")?;
         let stats = TrainStats {
-            iterations: stat("iterations")?,
-            kernel_cache_hits: stat("kernel_cache_hits")?,
-            kernel_cache_misses: stat("kernel_cache_misses")?,
-            shrink_rounds: stat("shrink_rounds")?,
-            unshrink_rounds: stat("unshrink_rounds")?,
+            iterations: stats_value.int_field("iterations")?,
+            kernel_cache_hits: stats_value.int_field("kernel_cache_hits")?,
+            kernel_cache_misses: stats_value.int_field("kernel_cache_misses")?,
+            shrink_rounds: stats_value.int_field("shrink_rounds")?,
+            unshrink_rounds: stats_value.int_field("unshrink_rounds")?,
         };
-        let support_norms: Vec<f64> = support_x
-            .iter()
-            .map(|sv| sv.iter().map(|v| v * v).sum())
-            .collect();
-        let linear_w = match kernel {
-            Kernel::Linear => {
-                let mut w = vec![0.0f64; width];
-                for (sv, &coeff) in support_x.iter().zip(&support_coeff) {
-                    for (wk, &vk) in w.iter_mut().zip(sv) {
-                        *wk += coeff * vk;
-                    }
-                }
-                Some(w)
-            }
-            _ => None,
-        };
-        Ok(SvmModel {
+        Ok(SvmModel::assemble(
             support_x,
             support_coeff,
-            support_norms,
-            linear_w,
-            bias: get("bias")?.as_f64().ok_or("bias is not a number")?,
+            width,
+            value.f64_field("bias")?,
             kernel,
             stats,
-        })
+        ))
     }
 }
 
@@ -599,6 +571,29 @@ mod tests {
             }
         }
         assert!(SvmModel::from_json(&broken).is_err());
+    }
+
+    #[test]
+    fn from_json_rejects_a_poly_degree_past_u32() {
+        let data = blob_dataset(5, 2.0, 1);
+        let poly = Kernel::Poly {
+            gamma: 0.5,
+            coef0: 1.0,
+            degree: 3,
+        };
+        let params = SvmParams {
+            kernel: poly,
+            ..SvmParams::default()
+        };
+        let text = SvmModel::train(&data, &params)
+            .unwrap()
+            .to_json()
+            .to_string_compact();
+        // 2^32 + 3 used to decode as degree 3.
+        let bad = text.replace("\"degree\":3", "\"degree\":4294967299");
+        assert_ne!(bad, text);
+        let err = SvmModel::from_json(&ssresf_json::parse(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("\"degree\""), "{err}");
     }
 
     #[test]

@@ -203,53 +203,32 @@ impl SoftErrorDatabase {
     ///
     /// Returns [`RadiationError::Database`] on malformed input.
     pub fn from_json(text: &str) -> Result<Self, RadiationError> {
-        let bad = |what: &str| RadiationError::Database(format!("invalid database JSON: {what}"));
         let doc = json::parse(text).map_err(|e| RadiationError::Database(e.to_string()))?;
-        let entries = doc
-            .get("entries")
-            .and_then(json::Value::as_array)
-            .ok_or_else(|| bad("missing \"entries\" array"))?;
-        let mut parsed = Vec::with_capacity(entries.len());
-        for entry in entries {
-            let cell_kind = entry
-                .get("cell_kind")
-                .and_then(json::Value::as_str)
-                .ok_or_else(|| bad("entry missing \"cell_kind\""))?
-                .to_owned();
-            let class = entry
-                .get("class")
-                .and_then(json::Value::as_str)
-                .and_then(class_from_name)
-                .ok_or_else(|| bad("entry has no valid \"class\""))?;
-            let area_weight = entry
-                .get("area_weight")
-                .and_then(json::Value::as_f64)
-                .ok_or_else(|| bad("entry missing \"area_weight\""))?;
-            let raw_points = entry
-                .get("points")
-                .and_then(json::Value::as_array)
-                .ok_or_else(|| bad("entry missing \"points\""))?;
-            let mut points = Vec::with_capacity(raw_points.len());
-            for p in raw_points {
-                let field = |name: &str| {
-                    p.get(name)
-                        .and_then(json::Value::as_f64)
-                        .ok_or_else(|| bad("point is missing a numeric field"))
-                };
-                points.push(LetPoint {
-                    let_value: field("let_value")?,
-                    seu_cm2: field("seu_cm2")?,
-                    set_cm2: field("set_cm2")?,
-                });
-            }
-            parsed.push(DatabaseEntry {
-                cell_kind,
-                class,
-                area_weight,
-                points,
-            });
-        }
-        Ok(SoftErrorDatabase { entries: parsed })
+        let entry_of = |entry: &json::Value| -> Result<DatabaseEntry, String> {
+            let class = entry.str_field("class")?;
+            Ok(DatabaseEntry {
+                cell_kind: entry.str_field("cell_kind")?.to_owned(),
+                class: class_from_name(class)
+                    .ok_or_else(|| format!("unknown radiation class {class:?}"))?,
+                area_weight: entry.f64_field("area_weight")?,
+                points: entry
+                    .array_field("points")?
+                    .iter()
+                    .map(|p| {
+                        Ok(LetPoint {
+                            let_value: p.f64_field("let_value")?,
+                            seu_cm2: p.f64_field("seu_cm2")?,
+                            set_cm2: p.f64_field("set_cm2")?,
+                        })
+                    })
+                    .collect::<Result<_, json::FieldError>>()?,
+            })
+        };
+        doc.array_field("entries")
+            .map_err(String::from)
+            .and_then(|entries| entries.iter().map(entry_of).collect())
+            .map(|entries| SoftErrorDatabase { entries })
+            .map_err(|e| RadiationError::Database(format!("invalid database JSON: {e}")))
     }
 }
 

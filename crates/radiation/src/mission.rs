@@ -184,27 +184,16 @@ impl MissionProfile {
     /// [`validate`](MissionProfile::validate) violation — this is the gate
     /// that catches out-of-range values in user-provided files.
     pub fn from_json(doc: &ssresf_json::Value) -> Result<Self, RadiationError> {
-        let segments = doc
-            .get("segments")
-            .and_then(ssresf_json::Value::as_array)
-            .ok_or_else(|| RadiationError::Config("mission lacks a `segments` array".into()))?;
+        let config = |e: ssresf_json::FieldError| RadiationError::Config(format!("mission: {e}"));
+        let segments = doc.array_field("segments").map_err(config)?;
         let mut parsed = Vec::with_capacity(segments.len());
         for (i, seg) in segments.iter().enumerate() {
-            let label = seg
-                .get("label")
-                .and_then(ssresf_json::Value::as_str)
-                .ok_or_else(|| RadiationError::Config(format!("segment {i} lacks `label`")))?;
-            let duration = seg
-                .get("duration_cycles")
-                .and_then(ssresf_json::Value::as_u64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("segment {i} lacks `duration_cycles`"))
-                })?;
-            let environment = seg
-                .get("environment")
-                .ok_or_else(|| RadiationError::Config(format!("segment {i} lacks `environment`")))
-                .and_then(ParticleEnvironment::from_json)?;
-            parsed.push(MissionSegment::new(label, duration, environment));
+            let config = |e| RadiationError::Config(format!("segment {i}: {e}"));
+            parsed.push(MissionSegment::new(
+                seg.str_field("label").map_err(config)?,
+                seg.int_field("duration_cycles").map_err(config)?,
+                ParticleEnvironment::from_json(seg.field("environment").map_err(config)?)?,
+            ));
         }
         MissionProfile::new(parsed)
     }

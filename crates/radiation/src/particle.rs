@@ -225,42 +225,23 @@ impl ParticleEnvironment {
     ///
     /// Returns [`RadiationError::Config`] on missing or mistyped fields.
     pub fn from_json(doc: &ssresf_json::Value) -> Result<Self, RadiationError> {
-        let field = |key: &str| {
-            doc.get(key)
-                .and_then(ssresf_json::Value::as_f64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("environment lacks numeric field `{key}`"))
-                })
+        let decode = || -> Result<Self, String> {
+            let kind_name = doc.str_field("kind")?;
+            let response = doc.field("response")?;
+            Ok(ParticleEnvironment {
+                kind: ParticleKind::from_name(kind_name)
+                    .ok_or_else(|| format!("unknown particle kind `{kind_name}`"))?,
+                let_value: Let::unchecked(doc.f64_field("let")?),
+                flux: Flux::unchecked(doc.f64_field("flux")?),
+                response: WeibullCurve {
+                    sigma_sat: response.f64_field("sigma_sat")?,
+                    threshold: response.f64_field("threshold")?,
+                    width: response.f64_field("width")?,
+                    shape: response.f64_field("shape")?,
+                },
+            })
         };
-        let kind_name = doc
-            .get("kind")
-            .and_then(ssresf_json::Value::as_str)
-            .ok_or_else(|| RadiationError::Config("environment lacks `kind`".into()))?;
-        let kind = ParticleKind::from_name(kind_name).ok_or_else(|| {
-            RadiationError::Config(format!("unknown particle kind `{kind_name}`"))
-        })?;
-        let response = doc
-            .get("response")
-            .ok_or_else(|| RadiationError::Config("environment lacks `response`".into()))?;
-        let curve_field = |key: &str| {
-            response
-                .get(key)
-                .and_then(ssresf_json::Value::as_f64)
-                .ok_or_else(|| {
-                    RadiationError::Config(format!("response curve lacks numeric field `{key}`"))
-                })
-        };
-        Ok(ParticleEnvironment {
-            kind,
-            let_value: Let::unchecked(field("let")?),
-            flux: Flux::unchecked(field("flux")?),
-            response: WeibullCurve {
-                sigma_sat: curve_field("sigma_sat")?,
-                threshold: curve_field("threshold")?,
-                width: curve_field("width")?,
-                shape: curve_field("shape")?,
-            },
-        })
+        decode().map_err(|e| RadiationError::Config(format!("environment: {e}")))
     }
 }
 

@@ -13,8 +13,12 @@ impl Let {
     ///
     /// Panics on negative or non-finite values.
     pub fn new(value: f64) -> Let {
-        assert!(value.is_finite() && value >= 0.0, "invalid LET {value}");
-        Let(value)
+        Let::try_new(value).unwrap_or_else(|| panic!("invalid LET {value}"))
+    }
+
+    /// Wraps a LET value; `None` on negative or non-finite values.
+    pub fn try_new(value: f64) -> Option<Let> {
+        (value.is_finite() && value >= 0.0).then_some(Let(value))
     }
 
     /// The raw value in MeV·cm²/mg.
@@ -46,8 +50,12 @@ impl Flux {
     ///
     /// Panics on negative or non-finite values.
     pub fn new(value: f64) -> Flux {
-        assert!(value.is_finite() && value >= 0.0, "invalid flux {value}");
-        Flux(value)
+        Flux::try_new(value).unwrap_or_else(|| panic!("invalid flux {value}"))
+    }
+
+    /// Wraps a flux value; `None` on negative or non-finite values.
+    pub fn try_new(value: f64) -> Option<Flux> {
+        (value.is_finite() && value >= 0.0).then_some(Flux(value))
     }
 
     /// The raw value in particles/(cm²·s).

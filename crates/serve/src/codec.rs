@@ -8,6 +8,12 @@
 //! freshly simulated one with plain equality. The one deliberate
 //! exception: wall-clock durations are carried as `f64` seconds — they
 //! are measurements, not simulation state, and no check compares them.
+//!
+//! Decoders read members through the `ssresf-json` field accessors and are
+//! total: a missing, mistyped or out-of-range member (an id past `u32`, a
+//! negative LET, flux or duration) is an error naming its key, not a panic.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use ssresf::{
     CampaignConfig, CampaignOutcome, CampaignTelemetry, Checkpoint, EngineKind, GoldenRun,
@@ -19,56 +25,6 @@ use ssresf_netlist::CellId;
 use ssresf_radiation::{Flux, Let, PulseWidthModel, RadiationEnvironment};
 use ssresf_sim::codec as sim_codec;
 use std::time::Duration;
-
-pub(crate) fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    value.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-pub(crate) fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("key {key:?} is not an exact u64"))
-}
-
-pub(crate) fn usize_field(value: &Value, key: &str) -> Result<usize, String> {
-    field(value, key)?
-        .as_usize()
-        .ok_or_else(|| format!("key {key:?} is not an index"))
-}
-
-pub(crate) fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-pub(crate) fn bool_field(value: &Value, key: &str) -> Result<bool, String> {
-    field(value, key)?
-        .as_bool()
-        .ok_or_else(|| format!("key {key:?} is not a bool"))
-}
-
-pub(crate) fn str_field<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
-fn f64s_to_json(values: &[f64]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::from(v)).collect())
-}
-
-fn f64s_field(value: &Value, key: &str) -> Result<Vec<f64>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_f64()
-                .ok_or_else(|| format!("key {key:?} holds a non-number"))
-        })
-        .collect()
-}
 
 /// Encodes a campaign config. The seed travels as a decimal string:
 /// arbitrary `u64` seeds do not fit an `f64`-backed JSON number.
@@ -122,41 +78,44 @@ pub fn campaign_config_to_json(config: &CampaignConfig) -> Value {
 ///
 /// Returns a description when the value is structurally invalid.
 pub fn campaign_config_from_json(value: &Value) -> Result<CampaignConfig, String> {
-    let workload = field(value, "workload")?;
-    let environment = field(value, "environment")?;
-    let pulse = field(value, "pulse")?;
-    let engine = match str_field(value, "engine")? {
+    let workload = value.field("workload")?;
+    let environment = value.field("environment")?;
+    let pulse = value.field("pulse")?;
+    let engine = match value.str_field("engine")? {
         "event-driven" => EngineKind::EventDriven,
         "levelized" => EngineKind::Levelized,
         other => return Err(format!("unknown engine {other:?}")),
     };
     Ok(CampaignConfig {
         workload: Workload {
-            reset_cycles: u64_field(workload, "reset_cycles")?,
-            run_cycles: u64_field(workload, "run_cycles")?,
+            reset_cycles: workload.int_field("reset_cycles")?,
+            run_cycles: workload.int_field("run_cycles")?,
         },
         environment: RadiationEnvironment::new(
-            Let::new(f64_field(environment, "let")?),
-            Flux::new(f64_field(environment, "flux")?),
+            Let::try_new(environment.f64_field("let")?)
+                .ok_or("key \"let\": expected a finite non-negative LET")?,
+            Flux::try_new(environment.f64_field("flux")?)
+                .ok_or("key \"flux\": expected a finite non-negative flux")?,
         ),
-        injections_per_cell: usize_field(value, "injections_per_cell")?,
+        injections_per_cell: value.int_field("injections_per_cell")?,
         pulse: PulseWidthModel {
-            base: f64_field(pulse, "base")?,
-            gain: f64_field(pulse, "gain")?,
-            max: f64_field(pulse, "max")?,
-            jitter: f64_field(pulse, "jitter")?,
+            base: pulse.f64_field("base")?,
+            gain: pulse.f64_field("gain")?,
+            max: pulse.f64_field("max")?,
+            jitter: pulse.f64_field("jitter")?,
         },
-        seed: str_field(value, "seed")?
+        seed: value
+            .str_field("seed")?
             .parse::<u64>()
-            .map_err(|e| format!("seed is not a u64: {e}"))?,
+            .map_err(|e| format!("key \"seed\" is not a u64: {e}"))?,
         engine,
-        threads: usize_field(value, "threads")?,
-        checkpoint_interval: u64_field(value, "checkpoint_interval")?,
-        early_stop: bool_field(value, "early_stop")?,
-        batching: bool_field(value, "batching")?,
-        batch_lanes: usize_field(value, "batch_lanes")?,
-        collapse_faults: bool_field(value, "collapse_faults")?,
-        lane_refill: bool_field(value, "lane_refill")?,
+        threads: value.int_field("threads")?,
+        checkpoint_interval: value.int_field("checkpoint_interval")?,
+        early_stop: value.bool_field("early_stop")?,
+        batching: value.bool_field("batching")?,
+        batch_lanes: value.int_field("batch_lanes")?,
+        collapse_faults: value.bool_field("collapse_faults")?,
+        lane_refill: value.bool_field("lane_refill")?,
     })
 }
 
@@ -177,10 +136,10 @@ pub fn injection_record_to_json(record: &InjectionRecord) -> Value {
 /// Returns a description when the value is structurally invalid.
 pub fn injection_record_from_json(value: &Value) -> Result<InjectionRecord, String> {
     Ok(InjectionRecord {
-        cell: CellId(u64_field(value, "cell")? as u32),
-        fault: sim_codec::fault_from_json(field(value, "fault")?)?,
-        soft_error: bool_field(value, "soft_error")?,
-        divergences: usize_field(value, "divergences")?,
+        cell: CellId(value.int_field("cell")?),
+        fault: sim_codec::fault_from_json(value.field("fault")?)?,
+        soft_error: value.bool_field("soft_error")?,
+        divergences: value.int_field("divergences")?,
     })
 }
 
@@ -205,11 +164,11 @@ pub fn campaign_telemetry_to_json(t: &CampaignTelemetry) -> Value {
 /// Returns a description when the value is structurally invalid.
 pub fn campaign_telemetry_from_json(value: &Value) -> Result<CampaignTelemetry, String> {
     Ok(CampaignTelemetry {
-        engine: sim_codec::telemetry_from_json(field(value, "engine")?)?,
-        checkpoint_restores: u64_field(value, "checkpoint_restores")?,
-        early_stop_truncations: u64_field(value, "early_stop_truncations")?,
-        collapsed_faults: u64_field(value, "collapsed_faults")?,
-        lane_refills: u64_field(value, "lane_refills")?,
+        engine: sim_codec::telemetry_from_json(value.field("engine")?)?,
+        checkpoint_restores: value.int_field("checkpoint_restores")?,
+        early_stop_truncations: value.int_field("early_stop_truncations")?,
+        collapsed_faults: value.int_field("collapsed_faults")?,
+        lane_refills: value.int_field("lane_refills")?,
     })
 }
 
@@ -217,7 +176,7 @@ pub fn campaign_telemetry_from_json(value: &Value) -> Result<CampaignTelemetry, 
 pub fn campaign_outcome_to_json(outcome: &CampaignOutcome) -> Value {
     ssresf_json::object([
         ("golden", sim_codec::trace_to_json(&outcome.golden)),
-        ("golden_activity", f64s_to_json(&outcome.golden_activity)),
+        ("golden_activity", Value::from(&outcome.golden_activity[..])),
         (
             "records",
             Value::Array(
@@ -248,18 +207,19 @@ pub fn campaign_outcome_to_json(outcome: &CampaignOutcome) -> Value {
 /// Returns a description when the value is structurally invalid.
 pub fn campaign_outcome_from_json(value: &Value) -> Result<CampaignOutcome, String> {
     Ok(CampaignOutcome {
-        golden: sim_codec::trace_from_json(field(value, "golden")?)?,
-        golden_activity: f64s_field(value, "golden_activity")?,
-        records: field(value, "records")?
-            .as_array()
-            .ok_or("records must be an array")?
+        golden: sim_codec::trace_from_json(value.field("golden")?)?,
+        golden_activity: value.f64s_field("golden_activity")?,
+        records: value
+            .array_field("records")?
             .iter()
             .map(injection_record_from_json)
             .collect::<Result<Vec<_>, _>>()?,
-        simulation_time: Duration::from_secs_f64(f64_field(value, "simulation_seconds")?),
-        golden_time: Duration::from_secs_f64(f64_field(value, "golden_seconds")?),
-        total_work: u64_field(value, "total_work")?,
-        telemetry: campaign_telemetry_from_json(field(value, "telemetry")?)?,
+        simulation_time: Duration::try_from_secs_f64(value.f64_field("simulation_seconds")?)
+            .map_err(|e| format!("key \"simulation_seconds\": {e}"))?,
+        golden_time: Duration::try_from_secs_f64(value.f64_field("golden_seconds")?)
+            .map_err(|e| format!("key \"golden_seconds\": {e}"))?,
+        total_work: value.int_field("total_work")?,
+        telemetry: campaign_telemetry_from_json(value.field("telemetry")?)?,
     })
 }
 
@@ -268,7 +228,7 @@ fn run_outcome_to_json(outcome: &RunOutcome) -> Value {
         ("trace", sim_codec::trace_to_json(&outcome.trace)),
         (
             "activity_per_cycle",
-            f64s_to_json(&outcome.activity_per_cycle),
+            Value::from(&outcome.activity_per_cycle[..]),
         ),
         ("work", Value::from(outcome.work)),
         ("engine", sim_codec::telemetry_to_json(&outcome.engine)),
@@ -278,13 +238,13 @@ fn run_outcome_to_json(outcome: &RunOutcome) -> Value {
 
 fn run_outcome_from_json(value: &Value) -> Result<RunOutcome, String> {
     Ok(RunOutcome {
-        trace: sim_codec::trace_from_json(field(value, "trace")?)?,
-        activity_per_cycle: f64s_field(value, "activity_per_cycle")?,
-        work: u64_field(value, "work")?,
-        engine: sim_codec::telemetry_from_json(field(value, "engine")?)?,
+        trace: sim_codec::trace_from_json(value.field("trace")?)?,
+        activity_per_cycle: value.f64s_field("activity_per_cycle")?,
+        work: value.int_field("work")?,
+        engine: sim_codec::telemetry_from_json(value.field("engine")?)?,
         // A golden run never resumes from a checkpoint or stops early.
         resumed_from: None,
-        early_stopped: bool_field(value, "early_stopped")?,
+        early_stopped: value.bool_field("early_stopped")?,
     })
 }
 
@@ -319,19 +279,18 @@ pub fn golden_run_to_json(golden: &GoldenRun) -> Result<Value, String> {
 ///
 /// Returns a description when the value is structurally invalid.
 pub fn golden_run_from_json(value: &Value) -> Result<GoldenRun, String> {
-    let checkpoints = field(value, "checkpoints")?
-        .as_array()
-        .ok_or("checkpoints must be an array")?
+    let checkpoints = value
+        .array_field("checkpoints")?
         .iter()
         .map(|cp| {
             Ok(Checkpoint::new(
-                u64_field(cp, "cycle")?,
-                sim_codec::engine_state_from_json(field(cp, "state")?)?,
+                cp.int_field("cycle")?,
+                sim_codec::engine_state_from_json(cp.field("state")?)?,
             ))
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(GoldenRun {
-        outcome: run_outcome_from_json(field(value, "outcome")?)?,
+        outcome: run_outcome_from_json(value.field("outcome")?)?,
         checkpoints,
     })
 }
@@ -363,13 +322,14 @@ pub fn shard_outcome_to_json(shard: &ShardOutcome) -> Value {
 /// Returns a description when the value is structurally invalid.
 pub fn shard_outcome_from_json(value: &Value) -> Result<ShardOutcome, String> {
     Ok(ShardOutcome {
-        shard: usize_field(value, "shard")?,
-        shard_count: usize_field(value, "shard_count")?,
-        jobs: usize_field(value, "jobs_start")?..usize_field(value, "jobs_end")?,
-        outcome: campaign_outcome_from_json(field(value, "outcome")?)?,
-        golden_work: u64_field(value, "golden_work")?,
-        golden_engine: sim_codec::telemetry_from_json(field(value, "golden_engine")?)?,
-        golden_time: Duration::from_secs_f64(f64_field(value, "golden_seconds")?),
+        shard: value.int_field("shard")?,
+        shard_count: value.int_field("shard_count")?,
+        jobs: value.int_field("jobs_start")?..value.int_field("jobs_end")?,
+        outcome: campaign_outcome_from_json(value.field("outcome")?)?,
+        golden_work: value.int_field("golden_work")?,
+        golden_engine: sim_codec::telemetry_from_json(value.field("golden_engine")?)?,
+        golden_time: Duration::try_from_secs_f64(value.f64_field("golden_seconds")?)
+            .map_err(|e| format!("key \"golden_seconds\": {e}"))?,
     })
 }
 
@@ -386,44 +346,15 @@ pub fn circuit_spec_to_json(spec: &CircuitSpec) -> Value {
                     .map(|g| {
                         ssresf_json::object([
                             ("kind", Value::from(g.kind.name())),
-                            (
-                                "operands",
-                                Value::Array(
-                                    g.operands
-                                        .iter()
-                                        .map(|&o| Value::from(u64::from(o)))
-                                        .collect(),
-                                ),
-                            ),
+                            ("operands", Value::from(&g.operands[..])),
                         ])
                     })
                     .collect(),
             ),
         ),
-        (
-            "ff_d",
-            Value::Array(
-                spec.ff_d
-                    .iter()
-                    .map(|&d| Value::from(u64::from(d)))
-                    .collect(),
-            ),
-        ),
+        ("ff_d", Value::from(&spec.ff_d[..])),
         ("outputs", Value::from(spec.outputs)),
     ])
-}
-
-fn u16s_field(value: &Value, key: &str) -> Result<Vec<u16>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .and_then(|n| u16::try_from(n).ok())
-                .ok_or_else(|| format!("key {key:?} holds an invalid operand index"))
-        })
-        .collect()
 }
 
 /// Decodes a circuit spec.
@@ -433,12 +364,11 @@ fn u16s_field(value: &Value, key: &str) -> Result<Vec<u16>, String> {
 /// Returns a description when the value is structurally invalid or names
 /// a gate kind outside [`GENERATOR_KINDS`].
 pub fn circuit_spec_from_json(value: &Value) -> Result<CircuitSpec, String> {
-    let gates = field(value, "gates")?
-        .as_array()
-        .ok_or("gates must be an array")?
+    let gates = value
+        .array_field("gates")?
         .iter()
         .map(|g| {
-            let name = str_field(g, "kind")?;
+            let name = g.str_field("kind")?;
             let kind = GENERATOR_KINDS
                 .iter()
                 .copied()
@@ -446,16 +376,16 @@ pub fn circuit_spec_from_json(value: &Value) -> Result<CircuitSpec, String> {
                 .ok_or_else(|| format!("unknown generator gate kind {name:?}"))?;
             Ok(GateSpec {
                 kind,
-                operands: u16s_field(g, "operands")?,
+                operands: g.ints_field("operands")?,
             })
         })
         .collect::<Result<Vec<_>, String>>()?;
     Ok(CircuitSpec {
-        name: str_field(value, "name")?.to_owned(),
-        inputs: usize_field(value, "inputs")?,
+        name: value.str_field("name")?.to_owned(),
+        inputs: value.int_field("inputs")?,
         gates,
-        ff_d: u16s_field(value, "ff_d")?,
-        outputs: usize_field(value, "outputs")?,
+        ff_d: value.ints_field("ff_d")?,
+        outputs: value.int_field("outputs")?,
     })
 }
 
@@ -482,6 +412,17 @@ mod tests {
         };
         let back = campaign_config_from_json(&reparse(&campaign_config_to_json(&config))).unwrap();
         assert_eq!(config, back);
+    }
+
+    #[test]
+    fn record_cell_ids_past_u32_are_rejected_not_truncated() {
+        let text = r#"{"cell":4294967303,"soft_error":true,"divergences":2,
+            "fault":{"type":"seu","cell":7,"cycle":3,"offset":0.25}}"#;
+        let err = injection_record_from_json(&ssresf_json::parse(text).unwrap()).unwrap_err();
+        assert!(err.contains("\"cell\""), "{err}");
+        let ok = text.replace("4294967303", "7");
+        let record = injection_record_from_json(&ssresf_json::parse(&ok).unwrap()).unwrap();
+        assert_eq!(record.cell, CellId(7));
     }
 
     #[test]

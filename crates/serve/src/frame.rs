@@ -5,6 +5,9 @@
 //! parseable from a pipe without any streaming JSON machinery, and the
 //! length prefix lets a reader reject garbage (or a runaway writer) before
 //! allocating.
+//! [`Message::from_json`] is total: a bad member is an error naming its key.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::codec::{shard_outcome_from_json, shard_outcome_to_json};
 use crate::key::JobSpec;
@@ -192,62 +195,37 @@ impl Message {
     ///
     /// Returns a description when the value is not a valid message.
     pub fn from_json(value: &Value) -> Result<Message, String> {
-        let kind = value
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or("message has no type")?;
-        let usize_field = |key: &str| -> Result<usize, String> {
-            value
-                .get(key)
-                .and_then(Value::as_usize)
-                .ok_or_else(|| format!("message key {key:?} missing or invalid"))
-        };
-        match kind {
+        match value.str_field("type")? {
             "job" => Ok(Message::Job {
-                spec: JobSpec::from_json(value.get("spec").ok_or("job has no spec")?)?,
-                shard: usize_field("shard")?,
-                shard_count: usize_field("shard_count")?,
+                spec: JobSpec::from_json(value.field("spec")?)?,
+                shard: value.int_field("shard")?,
+                shard_count: value.int_field("shard_count")?,
                 cache_root: value
-                    .get("cache_root")
-                    .and_then(Value::as_str)
+                    .optional("cache_root", Value::str_field)?
                     .map(str::to_owned),
-                cache_max_bytes: value.get("cache_max_bytes").and_then(Value::as_u64),
+                cache_max_bytes: value.optional("cache_max_bytes", Value::int_field)?,
             }),
             "cancel" => Ok(Message::Cancel),
             "heartbeat" => Ok(Message::Heartbeat {
-                shard: usize_field("shard")?,
-                completed: usize_field("completed")?,
-                total: usize_field("total")?,
-                soft_errors: usize_field("soft_errors")?,
-                elapsed_seconds: value
-                    .get("elapsed_seconds")
-                    .and_then(Value::as_f64)
-                    .ok_or("heartbeat has no elapsed_seconds")?,
-                phase: value
-                    .get("phase")
-                    .and_then(Value::as_str)
-                    .ok_or("heartbeat has no phase")?
-                    .to_owned(),
+                shard: value.int_field("shard")?,
+                completed: value.int_field("completed")?,
+                total: value.int_field("total")?,
+                soft_errors: value.int_field("soft_errors")?,
+                elapsed_seconds: value.f64_field("elapsed_seconds")?,
+                phase: value.str_field("phase")?.to_owned(),
             }),
             "result" => Ok(Message::Result {
-                outcome: Box::new(shard_outcome_from_json(
-                    value.get("outcome").ok_or("result has no outcome")?,
-                )?),
-                cache_hits: value.get("cache_hits").and_then(Value::as_u64).unwrap_or(0),
+                outcome: Box::new(shard_outcome_from_json(value.field("outcome")?)?),
+                cache_hits: value.optional("cache_hits", Value::int_field)?.unwrap_or(0),
                 cache_misses: value
-                    .get("cache_misses")
-                    .and_then(Value::as_u64)
+                    .optional("cache_misses", Value::int_field)?
                     .unwrap_or(0),
             }),
             "cancelled" => Ok(Message::Cancelled {
-                shard: usize_field("shard")?,
+                shard: value.int_field("shard")?,
             }),
             "error" => Ok(Message::Error {
-                message: value
-                    .get("message")
-                    .and_then(Value::as_str)
-                    .ok_or("error has no message")?
-                    .to_owned(),
+                message: value.str_field("message")?.to_owned(),
             }),
             other => Err(format!("unknown message type {other:?}")),
         }

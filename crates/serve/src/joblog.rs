@@ -34,7 +34,7 @@ impl JobLog {
         let next_seq = match fs::read_to_string(&path) {
             Ok(text) => replay_lines(&text)
                 .last()
-                .and_then(|e| e.get("seq").and_then(Value::as_u64))
+                .and_then(|e| e.int_field::<u64>("seq").ok())
                 .map_or(0, |s| s + 1),
             Err(e) if e.kind() == io::ErrorKind::NotFound => 0,
             Err(e) => return Err(e),

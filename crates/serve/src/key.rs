@@ -11,8 +11,11 @@
 //! change — one gate, one seed bit, one workload cycle — moves the key,
 //! while irrelevant knobs (thread count) leave it alone.
 
+#![deny(clippy::cast_possible_truncation)]
+
 use crate::codec::{
-    campaign_config_to_json, circuit_spec_from_json, circuit_spec_to_json, str_field,
+    campaign_config_from_json, campaign_config_to_json, circuit_spec_from_json,
+    circuit_spec_to_json,
 };
 use ssresf::CampaignConfig;
 use ssresf_json::Value;
@@ -82,12 +85,12 @@ impl NetlistSpec {
     ///
     /// Returns a description when the value is structurally invalid.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        match str_field(value, "type")? {
+        match value.str_field("type")? {
             "soc" => Ok(NetlistSpec::Soc {
-                preset: str_field(value, "preset")?.to_owned(),
+                preset: value.str_field("preset")?.to_owned(),
             }),
             "circuit" => Ok(NetlistSpec::Circuit(circuit_spec_from_json(
-                value.get("spec").ok_or("circuit spec missing")?,
+                value.field("spec")?,
             )?)),
             other => Err(format!("unknown netlist spec type {other:?}")),
         }
@@ -124,31 +127,19 @@ impl JobSpec {
     ///
     /// Returns a description when the value is structurally invalid.
     pub fn from_json(value: &Value) -> Result<Self, String> {
-        let cells = value
-            .get("cells")
-            .and_then(Value::as_array)
-            .ok_or("cells must be an array")?
-            .iter()
-            .map(|c| {
-                c.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .map(CellId)
-                    .ok_or_else(|| "cells holds an invalid cell id".to_string())
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         Ok(JobSpec {
-            netlist: NetlistSpec::from_json(value.get("netlist").ok_or("netlist missing")?)?,
-            cells,
-            config: crate::codec::campaign_config_from_json(
-                value.get("config").ok_or("config missing")?,
-            )?,
+            netlist: NetlistSpec::from_json(value.field("netlist")?)?,
+            cells: value.ints_field("cells")?.into_iter().map(CellId).collect(),
+            config: campaign_config_from_json(value.field("config")?)?,
         })
     }
 }
 
+/// Hashes the high then the low half of `hash`, each little-endian.
 fn hash_content_hash(hasher: &mut StableHasher, hash: ContentHash) {
-    hasher.update_u64((hash.0 >> 64) as u64);
-    hasher.update_u64(hash.0 as u64);
+    let bytes = hash.0.to_le_bytes();
+    hasher.update(&bytes[8..]);
+    hasher.update(&bytes[..8]);
 }
 
 /// Key of a cached golden run: the netlist content plus exactly the
@@ -298,6 +289,17 @@ mod tests {
             ..base
         };
         assert_ne!(golden_key(hash, &base), golden_key(hash, &longer));
+    }
+
+    #[test]
+    fn content_hashes_feed_the_hasher_high_half_first() {
+        let hash = ContentHash(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+        let mut split = StableHasher::new();
+        hash_content_hash(&mut split, hash);
+        let mut halves = StableHasher::new();
+        halves.update_u64(0x0123_4567_89ab_cdef);
+        halves.update_u64(0xfedc_ba98_7654_3210);
+        assert_eq!(split.finish(), halves.finish());
     }
 
     #[test]

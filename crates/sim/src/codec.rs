@@ -13,6 +13,13 @@
 //! is memoryless between cycles, so its snapshot is a plain value. An
 //! event-driven snapshot embeds an event wheel and is rejected — callers
 //! fall back to re-simulating (a cache miss, not an error).
+//!
+//! Decoders read every member through the `ssresf-json` field accessors,
+//! so they are total: a missing, mistyped or out-of-range member (a cell
+//! id past `u32`, say) is an error naming its key, never a panic or a
+//! silent truncation.
+
+#![deny(clippy::cast_possible_truncation)]
 
 use crate::engine::{EngineState, EngineTelemetry};
 use crate::inject::{Fault, SetFault, SeuFault};
@@ -58,28 +65,6 @@ pub fn logic_row_from_json(value: &Value) -> Result<Vec<Logic>, String> {
         .collect()
 }
 
-fn field<'a>(value: &'a Value, key: &str) -> Result<&'a Value, String> {
-    value.get(key).ok_or_else(|| format!("missing key {key:?}"))
-}
-
-fn u64_field(value: &Value, key: &str) -> Result<u64, String> {
-    field(value, key)?
-        .as_u64()
-        .ok_or_else(|| format!("key {key:?} is not an exact u64"))
-}
-
-fn f64_field(value: &Value, key: &str) -> Result<f64, String> {
-    field(value, key)?
-        .as_f64()
-        .ok_or_else(|| format!("key {key:?} is not a number"))
-}
-
-fn str_field<'a>(value: &'a Value, key: &str) -> Result<&'a str, String> {
-    field(value, key)?
-        .as_str()
-        .ok_or_else(|| format!("key {key:?} is not a string"))
-}
-
 /// Encodes a fault.
 pub fn fault_to_json(fault: &Fault) -> Value {
     match *fault {
@@ -101,17 +86,17 @@ pub fn fault_to_json(fault: &Fault) -> Value {
 
 /// Decodes a fault.
 pub fn fault_from_json(value: &Value) -> Result<Fault, String> {
-    match str_field(value, "type")? {
+    match value.str_field("type")? {
         "seu" => Ok(Fault::Seu(SeuFault {
-            cell: CellId(u64_field(value, "cell")? as u32),
-            cycle: u64_field(value, "cycle")?,
-            offset: f64_field(value, "offset")?,
+            cell: CellId(value.int_field("cell")?),
+            cycle: value.int_field("cycle")?,
+            offset: value.f64_field("offset")?,
         })),
         "set" => Ok(Fault::Set(SetFault {
-            net: NetId(u64_field(value, "net")? as u32),
-            cycle: u64_field(value, "cycle")?,
-            offset: f64_field(value, "offset")?,
-            width: f64_field(value, "width")?,
+            net: NetId(value.int_field("net")?),
+            cycle: value.int_field("cycle")?,
+            offset: value.f64_field("offset")?,
+            width: value.f64_field("width")?,
         })),
         other => Err(format!("unknown fault type {other:?}")),
     }
@@ -139,19 +124,14 @@ pub fn trace_to_json(trace: &CycleTrace) -> Value {
 
 /// Decodes a cycle trace.
 pub fn trace_from_json(value: &Value) -> Result<CycleTrace, String> {
-    let signals = field(value, "signals")?
-        .as_array()
-        .ok_or("signals must be an array")?
+    let signals = value
+        .array_field("signals")?
         .iter()
-        .map(|s| {
-            s.as_str()
-                .map(str::to_owned)
-                .ok_or_else(|| "signal name must be a string".to_string())
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let rows = field(value, "rows")?
-        .as_array()
-        .ok_or("rows must be an array")?
+        .map(|s| s.as_str().map(str::to_owned))
+        .collect::<Option<Vec<_>>>()
+        .ok_or("key \"signals\": expected an array of strings")?;
+    let rows = value
+        .array_field("rows")?
         .iter()
         .map(logic_row_from_json)
         .collect::<Result<Vec<_>, _>>()?;
@@ -182,29 +162,13 @@ pub fn telemetry_to_json(t: &EngineTelemetry) -> Value {
 /// Decodes engine telemetry counters.
 pub fn telemetry_from_json(value: &Value) -> Result<EngineTelemetry, String> {
     Ok(EngineTelemetry {
-        events_processed: u64_field(value, "events_processed")?,
-        cells_evaluated: u64_field(value, "cells_evaluated")?,
-        delta_cycles: u64_field(value, "delta_cycles")?,
-        wheel_advances: u64_field(value, "wheel_advances")?,
-        restores: u64_field(value, "restores")?,
-        word_evals: u64_field(value, "word_evals")?,
+        events_processed: value.int_field("events_processed")?,
+        cells_evaluated: value.int_field("cells_evaluated")?,
+        delta_cycles: value.int_field("delta_cycles")?,
+        wheel_advances: value.int_field("wheel_advances")?,
+        restores: value.int_field("restores")?,
+        word_evals: value.int_field("word_evals")?,
     })
-}
-
-fn u64s_to_json(values: &[u64]) -> Value {
-    Value::Array(values.iter().map(|&v| Value::from(v)).collect())
-}
-
-fn u64s_from_json(value: &Value, key: &str) -> Result<Vec<u64>, String> {
-    field(value, key)?
-        .as_array()
-        .ok_or_else(|| format!("key {key:?} must be an array"))?
-        .iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("key {key:?} holds a non-u64 entry"))
-        })
-        .collect()
 }
 
 /// Encodes a levelized engine snapshot.
@@ -227,14 +191,15 @@ pub fn levelized_state_to_json(state: &LevelizedState) -> Value {
             Value::Array(state.faults().iter().map(fault_to_json).collect()),
         ),
         ("cycle", Value::from(state.cycle())),
-        ("activity", u64s_to_json(state.activity())),
+        ("activity", Value::from(state.activity())),
         ("evals", Value::from(state.evals())),
     ])
 }
 
 /// Decodes a levelized engine snapshot.
 pub fn levelized_state_from_json(value: &Value) -> Result<LevelizedState, String> {
-    let inverted = str_field(value, "inverted")?
+    let inverted = value
+        .str_field("inverted")?
         .chars()
         .map(|c| match c {
             '0' => Ok(false),
@@ -242,20 +207,19 @@ pub fn levelized_state_from_json(value: &Value) -> Result<LevelizedState, String
             other => Err(format!("invalid inverted flag {other:?}")),
         })
         .collect::<Result<Vec<_>, _>>()?;
-    let faults = field(value, "faults")?
-        .as_array()
-        .ok_or("faults must be an array")?
+    let faults = value
+        .array_field("faults")?
         .iter()
         .map(fault_from_json)
         .collect::<Result<Vec<_>, _>>()?;
     Ok(LevelizedState::from_parts(
-        logic_row_from_json(field(value, "values")?)?,
-        logic_row_from_json(field(value, "state")?)?,
+        logic_row_from_json(value.field("values")?)?,
+        logic_row_from_json(value.field("state")?)?,
         inverted,
         faults,
-        u64_field(value, "cycle")?,
-        u64s_from_json(value, "activity")?,
-        u64_field(value, "evals")?,
+        value.int_field("cycle")?,
+        value.ints_field("activity")?,
+        value.int_field("evals")?,
     ))
 }
 
@@ -280,10 +244,10 @@ pub fn engine_state_to_json(state: &EngineState) -> Result<Value, String> {
 
 /// Decodes an engine snapshot encoded by [`engine_state_to_json`].
 pub fn engine_state_from_json(value: &Value) -> Result<EngineState, String> {
-    match str_field(value, "engine")? {
-        "levelized" => Ok(EngineState::Levelized(levelized_state_from_json(field(
-            value, "state",
-        )?)?)),
+    match value.str_field("engine")? {
+        "levelized" => Ok(EngineState::Levelized(levelized_state_from_json(
+            value.field("state")?,
+        )?)),
         other => Err(format!("unknown engine snapshot kind {other:?}")),
     }
 }
@@ -314,6 +278,24 @@ mod tests {
             let text = fault_to_json(&fault).to_string_compact();
             let back = fault_from_json(&ssresf_json::parse(&text).unwrap()).unwrap();
             assert_eq!(fault, back);
+        }
+    }
+
+    #[test]
+    fn ids_past_u32_are_rejected_not_truncated() {
+        // 4294967303 = 2^32 + 7 used to decode as id 7.
+        for (text, key) in [
+            (
+                r#"{"type":"seu","cell":4294967303,"cycle":1,"offset":0.5}"#,
+                "cell",
+            ),
+            (
+                r#"{"type":"set","net":4294967303,"cycle":1,"offset":0.5,"width":0.1}"#,
+                "net",
+            ),
+        ] {
+            let err = fault_from_json(&ssresf_json::parse(text).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("\"{key}\"")), "{err}");
         }
     }
 

@@ -88,10 +88,7 @@ impl Histogram {
             ("sum", Value::from(self.sum)),
             ("min", Value::from(self.min)),
             ("max", Value::from(self.max)),
-            (
-                "buckets",
-                Value::Array(self.buckets.iter().map(|&b| Value::from(b)).collect()),
-            ),
+            ("buckets", Value::from(&self.buckets[..])),
         ])
     }
 }
